@@ -24,12 +24,8 @@
 //!   measure oversubscription, not scaling; episodes/sec vs thread
 //!   count lives in `BENCH_fleet.json` from the `fleet_bench` bin);
 //! * DQN kernels — `train_step` at batch 32 vs the per-sample
-//!   reference, and single-observation inference plain vs scratch;
-//! * kernel backends — `train_step` and the batch-32 greedy forward
-//!   through the scalar oracle vs the AVX2+FMA SIMD kernels (skipped
-//!   with an annotation when the CPU lacks AVX2+FMA or
-//!   `CTJAM_FORCE_SCALAR` is set), plus the int8-quantized serving
-//!   forward with its measured greedy-action agreement.
+//!   reference, single-observation inference plain vs scratch, and the
+//!   batch-32 greedy forward the policy server runs per flush.
 //!
 //! The binary warns — and records `dirty_tree: true` — when the work
 //! tree is dirty, because a manifest whose `git` field ends in
@@ -46,10 +42,7 @@ use ctjam_dqn::agent::DqnAgent;
 use ctjam_dqn::config::DqnConfig;
 use ctjam_dqn::encode::{ObservationEncoder, SlotOutcome, SlotRecord};
 use ctjam_dqn::policy::GreedyPolicy;
-use ctjam_dqn::quant::{greedy_agreement, synthetic_observations, QuantizedPolicy};
 use ctjam_nn::batch::Batch;
-use ctjam_nn::kernel::{self, Backend};
-use ctjam_nn::quant::QuantScratch;
 use ctjam_telemetry::{JsonValue, RunManifest};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -432,10 +425,7 @@ fn main() {
     dqn_manifest.push_extra("train_step_per_sample_reference_us", reference);
     dqn_manifest.push_extra("train_step_speedup_x", reference / train);
 
-    // ---- kernel backends: scalar oracle vs SIMD vs int8 ---------------
-    // `train` above was measured on the default scalar backend; here the
-    // same agent times the batch-32 serving forward on each backend, and
-    // `train_step` again with the SIMD kernels switched in.
+    // The batch-32 greedy forward a policy-server flush runs.
     let policy = GreedyPolicy::from_agent(&agent);
     let mut rng = StdRng::seed_from_u64(SEED + 4);
     let mut obs_batch = Batch::with_cols(config.input_size());
@@ -452,88 +442,6 @@ fn main() {
     });
     println!("greedy forward batch32, scalar: {forward_scalar:10.1} ns");
     dqn_manifest.push_extra("forward_batch32_scalar_ns", forward_scalar);
-
-    if kernel::simd_supported() && !kernel::force_scalar() {
-        kernel::set_backend(Backend::Simd);
-        let train_simd = ns_per_iter(reps, train_iters, || {
-            std::hint::black_box(agent.train_step(&mut rng));
-        }) / 1_000.0;
-        let forward_simd = ns_per_iter(reps, train_iters, || {
-            policy.act_greedy_batch(&obs_batch, &mut scratch, &mut actions);
-            std::hint::black_box(&actions);
-        });
-        kernel::set_backend(Backend::Scalar);
-        println!("DQN train_step batch32, SIMD  : {train_simd:10.1} us");
-        println!(
-            "SIMD train speedup            : {:10.2}x",
-            train / train_simd
-        );
-        println!("greedy forward batch32, SIMD  : {forward_simd:10.1} ns");
-        println!(
-            "SIMD forward speedup          : {:10.2}x",
-            forward_scalar / forward_simd
-        );
-        dqn_manifest.push_extra("train_step_batch32_simd_us", train_simd);
-        dqn_manifest.push_extra("simd_train_speedup_x", train / train_simd);
-        dqn_manifest.push_extra("forward_batch32_simd_ns", forward_simd);
-        dqn_manifest.push_extra("simd_forward_speedup_x", forward_scalar / forward_simd);
-        if train / train_simd < 1.5 {
-            // With `-C target-cpu=native` (workspace default) the
-            // scalar oracle is itself auto-vectorized, so the explicit
-            // kernels' headroom over it is modest; rebuilt for generic
-            // x86-64 the same kernels measure ~1.9-2x (runtime dispatch
-            // keeps them active in portable builds). Say so rather
-            // than leave a sub-1.5x number looking like a regression.
-            dqn_manifest.push_extra(
-                "simd_note",
-                "scalar baseline is auto-vectorized (target-cpu=native); \
-                 vs a generic x86-64 build the SIMD kernels measure ~1.9x train \
-                 / ~2x forward — see EXPERIMENTS.md 'Kernel backends'",
-            );
-        }
-    } else {
-        // Don't publish a 1.0x "speedup" that looks like a measurement.
-        let why = if kernel::force_scalar() {
-            "CTJAM_FORCE_SCALAR is set"
-        } else {
-            "CPU lacks AVX2+FMA"
-        };
-        println!("SIMD kernels                  : skipped ({why})");
-        dqn_manifest.push_extra(
-            "simd_note",
-            format!("skipped: {why}; SIMD timings not recorded"),
-        );
-    }
-
-    // int8 serving forward: quantize against a synthetic calibration
-    // set and record timing plus the measured greedy-action agreement
-    // (the serve-side gate requires >= 0.995 on its own hold-out set).
-    let calibration = synthetic_observations(config.input_size(), SEED ^ 0xCA11B, 256);
-    let holdout = synthetic_observations(config.input_size(), SEED ^ 0x401D0, 512);
-    let quantized = QuantizedPolicy::quantize(&policy, &calibration);
-    let agreement = greedy_agreement(&policy, &quantized, &holdout);
-    let mut quant_scratch = QuantScratch::default();
-    let forward_int8 = ns_per_iter(reps, train_iters, || {
-        quantized.act_greedy_batch(&obs_batch, &mut quant_scratch, &mut actions);
-        std::hint::black_box(&actions);
-    });
-    println!("greedy forward batch32, int8  : {forward_int8:10.1} ns");
-    println!("int8 greedy agreement         : {agreement:10.4}");
-    println!(
-        "int8 param bytes              : {:10} (f64: {})",
-        quantized.param_bytes(),
-        8 * policy.network().param_count()
-    );
-    dqn_manifest.push_extra("forward_batch32_int8_ns", forward_int8);
-    dqn_manifest.push_extra("int8_forward_speedup_x", forward_scalar / forward_int8);
-    dqn_manifest.push_extra("int8_greedy_agreement", agreement);
-    dqn_manifest.push_extra("int8_param_bytes", quantized.param_bytes() as f64);
-    dqn_manifest.push_extra(
-        "int8_agreement_note",
-        "measured on this bench's constant-reward agent, whose near-tied Q-values \
-         flip argmax under any lossy encoding; the serve-side gate re-measures \
-         agreement per deployed policy and falls back to f64 below 0.995",
-    );
 
     write_manifest(&dqn_manifest, out_dir);
 }

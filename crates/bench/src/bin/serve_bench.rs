@@ -2,11 +2,10 @@
 //!
 //! Drives a policy server over loopback with N pipelined client
 //! threads (each keeps a window of requests in flight on one
-//! connection) and seeded observation streams, across seven modes:
+//! connection) and seeded observation streams, across six modes:
 //!
 //! * `batched` — micro-batching at the default `max_batch`, one worker;
 //! * `max_batch=1` — batching degraded off (the speedup baseline);
-//! * `int8` — the quantized serving path behind its agreement gate;
 //! * `workers=2` / `workers=4` — the sharded multi-worker serve path
 //!   (connections hash across per-worker batch queues);
 //! * `multi-tenant` — two tenants behind one server, half the clients
@@ -18,15 +17,12 @@
 //!
 //! Observation streams and their greedy-action oracles are precomputed
 //! before the timed window so client-side work stays off the critical
-//! path. In every f64 mode each served action is asserted **bit-exact**
+//! path. In every mode each served action is asserted **bit-exact**
 //! against in-process `DqnAgent::act_greedy` — including at worker
-//! counts 2 and 4, the wire-level sharding-equivalence check — while
-//! the int8 mode *counts* disagreements (quantization is lossy by
-//! design) and asserts the aggregate wire-level agreement stays at or
-//! above the server's own 99.5% admission gate. The run is summarized
-//! into `BENCH_serve.json` (throughput, p50/p95/p99 latency, mean
-//! batch occupancy, batching speedup, worker sweep, multi-tenant and
-//! SLO shed measurements, int8 agreement) in the `ctjam-bench/v1`
+//! counts 2 and 4, the wire-level sharding-equivalence check. The run
+//! is summarized into `BENCH_serve.json` (throughput, p50/p95/p99
+//! latency, mean batch occupancy, batching speedup, worker sweep,
+//! multi-tenant and SLO shed measurements) in the `ctjam-bench/v1`
 //! manifest schema — the same file `ci.sh` validates in quick mode and
 //! EXPERIMENTS.md records from a full run.
 //!
@@ -80,18 +76,13 @@ struct ModeResult {
     p99_us: f64,
     mean_batch_occupancy: f64,
     requests: usize,
-    mismatches: usize,
     sheds: usize,
 }
 
 /// Where the server under test lives.
 enum Server {
     InProcess(PolicyServer),
-    Child {
-        child: Child,
-        addr: SocketAddr,
-        int8_active: bool,
-    },
+    Child { child: Child, addr: SocketAddr },
 }
 
 impl Server {
@@ -103,7 +94,6 @@ impl Server {
                     .arg("127.0.0.1:0")
                     .env("CTJAM_SERVE_MAX_BATCH", spec.max_batch.to_string())
                     .env("CTJAM_SERVE_MAX_WAIT_US", spec.max_wait_us.to_string())
-                    .env("CTJAM_SERVE_INT8", if spec.int8 { "1" } else { "0" })
                     .env("CTJAM_SERVE_WORKERS", spec.workers.to_string());
                 if let Some(us) = spec.max_queue_delay_us {
                     cmd.env("CTJAM_SERVE_MAX_QUEUE_DELAY_US", us.to_string());
@@ -126,32 +116,23 @@ impl Server {
                 let stdout = child.stdout.as_mut().expect("child stdout");
                 let mut reader = BufReader::new(stdout);
                 // Before LISTENING the child reports its worker count
-                // (`WORKERS <n>`) and may report the int8 gate's
-                // verdict (`INT8 active|fallback`).
-                let mut int8_active = false;
+                // (`WORKERS <n>`).
                 let addr = loop {
                     let mut line = String::new();
                     reader.read_line(&mut line).expect("readiness line");
                     let line = line.trim();
-                    if let Some(verdict) = line.strip_prefix("INT8 ") {
-                        int8_active = verdict == "active";
-                    } else if let Some(addr) = line.strip_prefix("LISTENING ") {
+                    if let Some(addr) = line.strip_prefix("LISTENING ") {
                         break addr.parse().expect("parsable address");
                     } else if line.strip_prefix("WORKERS ").is_none() {
                         panic!("unexpected readiness line: {line}");
                     }
                 };
-                Server::Child {
-                    child,
-                    addr,
-                    int8_active,
-                }
+                Server::Child { child, addr }
             }
             Err(_) => {
                 let config = ServerConfig {
                     max_batch: spec.max_batch,
                     max_wait: Duration::from_micros(spec.max_wait_us),
-                    quantize_int8: spec.int8,
                     workers: spec.workers,
                     max_queue_delay: spec.max_queue_delay_us.map(Duration::from_micros),
                     ..ServerConfig::default()
@@ -171,15 +152,6 @@ impl Server {
         match self {
             Server::InProcess(server) => server.local_addr(),
             Server::Child { addr, .. } => *addr,
-        }
-    }
-
-    /// Whether the server is answering through the int8 path (its
-    /// agreement gate admitted the quantized policy).
-    fn int8_active(&self) -> bool {
-        match self {
-            Server::InProcess(server) => server.int8_active(),
-            Server::Child { int8_active, .. } => *int8_active,
         }
     }
 
@@ -253,20 +225,17 @@ fn connect_retry(addr: SocketAddr, attempts: usize, delay: Duration) -> TcpStrea
 /// One pipelined client: keeps up to `window` requests in flight on a
 /// single connection, matching replies to requests by id. Requests are
 /// addressed to `tenant` (the default tenant rides the v1 encoding,
-/// others the v2 tenant-prefixed one). With `exact` set every action is
-/// asserted bit-exact against the precomputed oracle; otherwise
-/// disagreements are counted (the int8 mode's aggregate-agreement
-/// contract). A typed `Overloaded` error — the SLO mode's admission
-/// shed — retires its request without a latency sample. Returns the
-/// send→reply latencies of the *answered* requests in microseconds,
-/// the mismatch count, and the shed count.
+/// others the v2 tenant-prefixed one). Every action is asserted
+/// bit-exact against the precomputed oracle. A typed `Overloaded`
+/// error — the SLO mode's admission shed — retires its request without
+/// a latency sample. Returns the send→reply latencies of the *answered*
+/// requests in microseconds, and the shed count.
 fn drive_client(
     addr: SocketAddr,
     tenant: u32,
     stream: &Stream,
     window: usize,
-    exact: bool,
-) -> (Vec<f64>, usize, usize) {
+) -> (Vec<f64>, usize) {
     let tcp = connect_retry(addr, 50, Duration::from_millis(20));
     tcp.set_nodelay(true).expect("nodelay");
     let mut reader = BufReader::new(tcp.try_clone().expect("clone stream"));
@@ -282,7 +251,6 @@ fn drive_client(
     let mut sendbuf: Vec<u8> = Vec::new();
     let mut next = 0usize;
     let mut done = 0usize;
-    let mut mismatches = 0usize;
     let mut sheds = 0usize;
     while done < stream.len() {
         // Refill the window in one burst: encode every free slot, then
@@ -315,14 +283,12 @@ fn drive_client(
                     assert!(id < next && !replied[id], "reply to unknown id");
                     replied[id] = true;
                     latencies_us.push(sent_at[id].elapsed().as_secs_f64() * 1e6);
-                    // The f64 acceptance bar: every served action
-                    // bit-exact against the in-process agent. The int8
-                    // mode counts divergences instead and holds them to
-                    // the aggregate agreement gate in `main`.
-                    if action as usize != stream[id].1 {
-                        assert!(!exact, "served action diverged from act_greedy");
-                        mismatches += 1;
-                    }
+                    // The acceptance bar: every served action bit-exact
+                    // against the in-process agent.
+                    assert_eq!(
+                        action as usize, stream[id].1,
+                        "served action diverged from act_greedy"
+                    );
                     inflight -= 1;
                     done += 1;
                 }
@@ -344,7 +310,7 @@ fn drive_client(
             }
         }
     }
-    (latencies_us, mismatches, sheds)
+    (latencies_us, sheds)
 }
 
 /// One server configuration to load-test.
@@ -352,7 +318,6 @@ struct ModeSpec {
     label: &'static str,
     max_batch: usize,
     max_wait_us: u64,
-    int8: bool,
     workers: usize,
     max_queue_delay_us: Option<u64>,
     /// Extra tenants `(id, checkpoint)` registered beyond the default.
@@ -365,7 +330,6 @@ impl ModeSpec {
             label,
             max_batch,
             max_wait_us,
-            int8: false,
             workers: 1,
             max_queue_delay_us: None,
             tenants: Vec::new(),
@@ -375,23 +339,18 @@ impl ModeSpec {
 
 /// Runs pipelined client threads over `assignments` — one `(tenant,
 /// stream)` per client — against one server mode; panics on any
-/// non-bit-exact answer unless the mode is int8 (where divergences are
-/// counted, not fatal). Modes without an SLO budget must shed nothing.
-/// Returns the mode's results plus whether the server's int8 path was
-/// actually active.
+/// non-bit-exact answer. Modes without an SLO budget must shed nothing.
 fn run_mode(
     spec: &ModeSpec,
     policy: GreedyPolicy,
     assignments: &Arc<Vec<(u32, Stream)>>,
     ckpt: &Path,
     window: usize,
-) -> (ModeResult, bool) {
+) -> ModeResult {
     let server = Server::start(policy, ckpt, spec);
     let label = spec.label;
     let addr = server.addr();
-    let int8_active = server.int8_active();
     let clients = assignments.len();
-    let exact = !spec.int8;
 
     let start = Instant::now();
     let mut workers = Vec::new();
@@ -399,16 +358,14 @@ fn run_mode(
         let assignments = Arc::clone(assignments);
         workers.push(thread::spawn(move || {
             let (tenant, stream) = &assignments[t];
-            drive_client(addr, *tenant, stream, window, exact)
+            drive_client(addr, *tenant, stream, window)
         }));
     }
     let mut latencies: Vec<f64> = Vec::new();
-    let mut mismatches = 0usize;
     let mut sheds = 0usize;
     for w in workers {
-        let (lat, miss, shed) = w.join().expect("client thread panicked");
+        let (lat, shed) = w.join().expect("client thread panicked");
         latencies.extend(lat);
-        mismatches += miss;
         sheds += shed;
     }
     let wall = start.elapsed().as_secs_f64();
@@ -428,7 +385,6 @@ fn run_mode(
         p99_us: pct(0.99),
         mean_batch_occupancy: occupancy,
         requests: latencies.len(),
-        mismatches,
         sheds,
     };
     println!(
@@ -441,26 +397,7 @@ fn run_mode(
             String::new()
         },
     );
-    (result, int8_active)
-}
-
-/// Trains a briefly-biased agent from `seed` (see `main` for why the
-/// bias matters to the int8 mode).
-fn trained_agent(config: &DqnConfig, seed: u64) -> DqnAgent {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut agent = DqnAgent::new(config.clone(), &mut rng);
-    for i in 0..1_600 {
-        let state: Vec<f64> = (0..config.input_size())
-            .map(|_| rng.gen_range(-1.0..1.0))
-            .collect();
-        let next: Vec<f64> = (0..config.input_size())
-            .map(|_| rng.gen_range(-1.0..1.0))
-            .collect();
-        let action = i % config.num_actions();
-        let reward = if action == 0 { 1.0 } else { -1.0 };
-        agent.observe(state, action, reward, next, &mut rng);
-    }
-    agent
+    result
 }
 
 fn main() {
@@ -483,20 +420,20 @@ fn main() {
         hidden: (192, 192),
         ..DqnConfig::default()
     };
-    // Brief training toward one dominant action gives the policy
-    // decisive Q-margins everywhere, so the int8 mode's agreement gate
-    // admits the quantization and the third mode genuinely measures
-    // the int8 path (a random-weight net has near-tied Q-values the
-    // gate rightly rejects — measured here at ~97–98% agreement, below
-    // the 99.5% bar). The forward-pass cost being benchmarked is
-    // weight-value independent, and the f64 modes are oracle-checked
-    // against this same post-training agent, so neither throughput
-    // comparability nor bit-exactness is affected.
-    let agent = Arc::new(trained_agent(&config, SEED));
+    // The forward-pass cost being benchmarked is weight-value
+    // independent, so freshly initialized agents serve as well as
+    // trained ones.
+    let agent = Arc::new(DqnAgent::new(
+        config.clone(),
+        &mut StdRng::seed_from_u64(SEED),
+    ));
     // The multi-tenant mode's second policy: same shape, independently
     // seeded weights, so a cross-tenant answer mixup cannot slip past
     // the per-tenant oracles.
-    let agent_b = Arc::new(trained_agent(&config, SEED + 7));
+    let agent_b = Arc::new(DqnAgent::new(
+        config.clone(),
+        &mut StdRng::seed_from_u64(SEED + 7),
+    ));
     let pid = std::process::id();
     let ckpt = std::env::temp_dir().join(format!("ctjam_serve_bench_{pid}.ckpt"));
     let ckpt_b = std::env::temp_dir().join(format!("ctjam_serve_bench_{pid}_b.ckpt"));
@@ -536,25 +473,15 @@ fn main() {
             .collect(),
     );
 
-    let (batched, _) = run_mode(
+    let batched = run_mode(
         &ModeSpec::new("batched", max_batch, max_wait_us),
         policy(),
         &default_assign,
         &ckpt,
         window,
     );
-    let (unbatched, _) = run_mode(
+    let unbatched = run_mode(
         &ModeSpec::new("max_batch=1", 1, max_wait_us),
-        policy(),
-        &default_assign,
-        &ckpt,
-        window,
-    );
-    let (int8, int8_active) = run_mode(
-        &ModeSpec {
-            int8: true,
-            ..ModeSpec::new("int8", max_batch, max_wait_us)
-        },
         policy(),
         &default_assign,
         &ckpt,
@@ -563,7 +490,7 @@ fn main() {
     // The worker sweep: identical load at 2 and 4 shards. Every answer
     // stays oracle-checked, so this doubles as the sharding-equivalence
     // proof at the wire level.
-    let (workers2, _) = run_mode(
+    let workers2 = run_mode(
         &ModeSpec {
             workers: 2,
             ..ModeSpec::new("workers=2", max_batch, max_wait_us)
@@ -573,7 +500,7 @@ fn main() {
         &ckpt,
         window,
     );
-    let (workers4, _) = run_mode(
+    let workers4 = run_mode(
         &ModeSpec {
             workers: 4,
             ..ModeSpec::new("workers=4", max_batch, max_wait_us)
@@ -583,7 +510,7 @@ fn main() {
         &ckpt,
         window,
     );
-    let (multi, _) = run_mode(
+    let multi = run_mode(
         &ModeSpec {
             workers: 2,
             tenants: vec![(7, ckpt_b.clone())],
@@ -594,7 +521,7 @@ fn main() {
         &ckpt,
         window,
     );
-    let (slo, _) = run_mode(
+    let slo = run_mode(
         &ModeSpec {
             max_queue_delay_us: Some(slo_us),
             ..ModeSpec::new("slo", max_batch, max_wait_us)
@@ -610,27 +537,6 @@ fn main() {
     let speedup = batched.throughput_req_per_s / unbatched.throughput_req_per_s;
     println!("batching speedup: {speedup:.2}x");
 
-    // The int8 acceptance bar: aggregate wire-level agreement with the
-    // f64 oracle at or above the server's own admission gate. When the
-    // gate rejected the quantization the server served f64 (bit-exact),
-    // so the bound holds either way — a sub-gate number here means the
-    // serving path itself is broken, not that the gate mis-measured.
-    let int8_agreement = 1.0 - int8.mismatches as f64 / int8.requests as f64;
-    println!(
-        "int8 mode: {} | wire agreement {:.4} ({} / {} diverged)",
-        if int8_active {
-            "active"
-        } else {
-            "f64 fallback"
-        },
-        int8_agreement,
-        int8.mismatches,
-        int8.requests,
-    );
-    assert!(
-        int8_agreement >= 0.995,
-        "int8 wire agreement {int8_agreement} below the 99.5% gate"
-    );
     let slo_offered = slo.requests + slo.sheds;
     let slo_shed_rate = slo.sheds as f64 / slo_offered as f64;
     println!(
@@ -661,7 +567,6 @@ fn main() {
         "served_requests",
         (batched.requests
             + unbatched.requests
-            + int8.requests
             + workers2.requests
             + workers4.requests
             + multi.requests
@@ -680,16 +585,6 @@ fn main() {
     manifest.push_extra("unbatched_latency_p95_us", unbatched.p95_us);
     manifest.push_extra("unbatched_latency_p99_us", unbatched.p99_us);
     manifest.push_extra("batching_speedup_x", speedup);
-    manifest.push_extra("int8_active", JsonValue::from(int8_active));
-    manifest.push_extra("int8_throughput_req_per_s", int8.throughput_req_per_s);
-    manifest.push_extra("int8_latency_p50_us", int8.p50_us);
-    manifest.push_extra("int8_latency_p95_us", int8.p95_us);
-    manifest.push_extra("int8_latency_p99_us", int8.p99_us);
-    manifest.push_extra("int8_wire_agreement", int8_agreement);
-    manifest.push_extra(
-        "int8_throughput_vs_batched_x",
-        int8.throughput_req_per_s / batched.throughput_req_per_s,
-    );
     manifest.push_extra(
         "workers_2_throughput_req_per_s",
         workers2.throughput_req_per_s,

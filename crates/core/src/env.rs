@@ -10,7 +10,7 @@
 //! * **`J`** — jammed and lost: the slot's traffic is gone.
 
 use crate::adversary::{Adversary, AdversaryConfig, AdversaryProbe, JamAction, SlotSense};
-use crate::jammer::{JammerConfig, JammerMode};
+use crate::jammer::JammerMode;
 use rand::{Rng, RngCore};
 
 /// Slot outcome (the observable projection of the MDP state).
@@ -82,24 +82,6 @@ impl EnvParams {
     /// Jammer mode shortcut.
     pub fn jammer_mode(&self) -> JammerMode {
         self.adversary.mode
-    }
-
-    /// Replaces the adversary's shared front end with a legacy
-    /// [`JammerConfig`], keeping the sweep behaviour it used to imply.
-    #[deprecated(
-        since = "0.3.0",
-        note = "set the `adversary` field with an `AdversaryConfig` instead"
-    )]
-    #[must_use]
-    pub fn with_jammer(mut self, jammer: JammerConfig) -> Self {
-        self.adversary = AdversaryConfig::from(jammer);
-        self
-    }
-
-    /// The adversary's front-end parameters as a legacy [`JammerConfig`].
-    #[deprecated(since = "0.3.0", note = "read the `adversary` field instead")]
-    pub fn jammer(&self) -> JammerConfig {
-        self.adversary.front_end()
     }
 
     /// Shifts the Tx power range to `[lower, lower + count − 1]`

@@ -176,29 +176,6 @@ impl<'a, S: EventSink, F: FaultPoint> RunBuilder<'a, S, F> {
         self
     }
 
-    /// Opts this **process** in (or out) of the explicit AVX2+FMA GEMM
-    /// microkernels for all neural-network math.
-    ///
-    /// The switch is process-global and sticky (see
-    /// [`ctjam_nn::kernel`]): the kernels sit under freely cloned
-    /// network types, so there is no per-run flag to thread through.
-    /// The default is the scalar oracle, which keeps every golden
-    /// value, determinism test, and replay bit-exact; the SIMD path is
-    /// ULP-bounded instead (documented in `ctjam_nn::simd`) and only
-    /// actually engages when the CPU supports `avx2+fma` and the
-    /// `CTJAM_FORCE_SCALAR` escape hatch is unset. Use it for
-    /// throughput-oriented work (long training campaigns, benches)
-    /// where that tolerance is acceptable.
-    #[must_use]
-    pub fn simd_kernels(self, enable: bool) -> Self {
-        ctjam_nn::kernel::set_backend(if enable {
-            ctjam_nn::kernel::Backend::Simd
-        } else {
-            ctjam_nn::kernel::Backend::Scalar
-        });
-        self
-    }
-
     /// Sets the base seed from which [`RunBuilder::sweep`] derives every
     /// point's own RNG via [`point_seed`] (default 0).
     #[must_use]

@@ -36,5 +36,4 @@ pub mod checkpoint;
 pub mod config;
 pub mod encode;
 pub mod policy;
-pub mod quant;
 pub mod replay;

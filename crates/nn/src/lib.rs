@@ -9,13 +9,6 @@
 //!   backprop needs, including blocked matrix–matrix products.
 //! * [`batch`] — a packed row-major minibatch and the batched
 //!   linear-algebra kernels (bit-exact with the per-sample path).
-//! * [`kernel`] — the process-wide scalar/SIMD backend switch (scalar
-//!   oracle by default; AVX2+FMA opt-in, `CTJAM_FORCE_SCALAR` escape
-//!   hatch).
-//! * [`simd`] — the explicit AVX2+FMA microkernels behind runtime
-//!   feature detection, ULP-bounded against the scalar oracle.
-//! * [`quant`] — post-training int8 symmetric quantization of an
-//!   [`mlp::Mlp`] for the serving-only inference path.
 //! * [`activation`] — ReLU and identity activations with derivatives.
 //! * [`loss`] — mean-squared error and Huber loss.
 //! * [`optimizer`] — SGD and Adam.
@@ -50,19 +43,14 @@
 //! assert!(net.forward(&[1.0, 1.0])[0] < 0.3);
 //! ```
 
-// `deny` (not `forbid`) so the one SIMD module can opt back in with an
-// explicit `#![allow(unsafe_code)]`; everything else stays safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activation;
 pub mod batch;
-pub mod kernel;
 pub mod loss;
 pub mod matrix;
 pub mod mlp;
 pub mod optimizer;
-pub mod quant;
 pub mod rnn;
 pub mod serialize;
-pub mod simd;

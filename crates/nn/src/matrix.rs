@@ -1,12 +1,12 @@
 //! A row-major `f64` matrix with the operations backpropagation needs.
 //!
-//! The GEMM entry points ([`gemm_nn_into`], [`gemm_nt_into`],
-//! [`gemm_tn_scaled_into`]) dispatch between the scalar oracle kernels
-//! (`*_scalar_into`, bit-exact, the default) and the AVX2+FMA
-//! microkernels in [`crate::simd`] according to the process-wide switch
-//! in [`crate::kernel`].
+//! The GEMM kernels ([`gemm_nn_into`], [`gemm_nt_into`],
+//! [`gemm_tn_scaled_into`]) are plain scalar Rust. Every output element
+//! folds its sum over the reduction index in ascending order from `0.0`,
+//! so batched and per-sample paths agree bit-for-bit; the register
+//! tiles only interleave independent sums, and `target-cpu=native`
+//! auto-vectorizes them.
 
-use crate::{kernel, simd};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -213,28 +213,7 @@ impl Matrix {
 }
 
 /// `out[s][o] = Σ_k a[s][k]·b[o][k] (+ bias[o])` for `a: a_rows×k`
-/// (row-major), `b: b_rows×k` (row-major), `out: a_rows×b_rows` —
-/// dispatching to the scalar oracle or the SIMD microkernel per
-/// [`crate::kernel::simd_active`].
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS-style gemm signature
-pub fn gemm_nt_into(
-    a: &[f64],
-    a_rows: usize,
-    b: &[f64],
-    b_rows: usize,
-    k: usize,
-    bias: Option<&[f64]>,
-    pack: &mut Vec<f64>,
-    out: &mut [f64],
-) {
-    if kernel::simd_active() {
-        simd::gemm_nt_simd_into(a, a_rows, b, b_rows, k, bias, pack, out);
-    } else {
-        gemm_nt_scalar_into(a, a_rows, b, b_rows, k, bias, pack, out);
-    }
-}
-
-/// Scalar oracle for [`gemm_nt_into`].
+/// (row-major), `b: b_rows×k` (row-major), `out: a_rows×b_rows`.
 ///
 /// Every output element accumulates in ascending `k` order starting from
 /// `0.0`, with the bias added only after the dot product completes —
@@ -248,7 +227,7 @@ pub fn gemm_nt_into(
 /// single bit of the result, because each output element's sum still
 /// folds left over ascending `k`; only the memory layout moves.
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS-style gemm signature
-pub fn gemm_nt_scalar_into(
+pub fn gemm_nt_into(
     a: &[f64],
     a_rows: usize,
     b: &[f64],
@@ -270,7 +249,7 @@ pub fn gemm_nt_scalar_into(
             }
         }
     }
-    gemm_nn_scalar_into(a, a_rows, k, pack, b_rows, out);
+    gemm_nn_into(a, a_rows, k, pack, b_rows, out);
     if let (Some(bs), true) = (bias, b_rows > 0) {
         for or in out.chunks_exact_mut(b_rows) {
             for (o, &bv) in or.iter_mut().zip(bs) {
@@ -280,12 +259,6 @@ pub fn gemm_nt_scalar_into(
     }
 }
 
-/// `out[s][c] = Σ_r a[s][r]·b[r][c]` for `a: a_rows×a_cols` and
-/// `b: a_cols×b_cols`, both row-major.
-///
-/// Accumulates over `r` in ascending order into independent per-column
-/// accumulators — bit-identical to `mul_vec_transposed` row by row, and
-/// vectorizable because the inner column loop carries no dependency.
 /// Micro-kernel tile of [`gemm_nn_into`]: an `NN_MR × NN_NR` block of
 /// output elements accumulates entirely in registers across the whole
 /// `r` loop, so `out` is stored once instead of once per `r` step and
@@ -300,25 +273,13 @@ const NN_NR: usize = 16;
 const NN_NR2: usize = 8;
 
 /// `out[s][c] = Σ_r a[s][r]·b[r][c]` for `a: a_rows×a_cols` and
-/// `b: a_cols×b_cols`, both row-major — dispatching to the scalar
-/// oracle or the SIMD microkernel per [`crate::kernel::simd_active`].
+/// `b: a_cols×b_cols`, both row-major.
+///
+/// Accumulates over `r` in ascending order into independent per-column
+/// accumulators — bit-identical to `mul_vec_transposed` row by row, and
+/// vectorizable because the inner column loop carries no dependency.
+/// `a_cols = 0` writes zeros.
 pub fn gemm_nn_into(
-    a: &[f64],
-    a_rows: usize,
-    a_cols: usize,
-    b: &[f64],
-    b_cols: usize,
-    out: &mut [f64],
-) {
-    if kernel::simd_active() {
-        simd::gemm_nn_simd_into(a, a_rows, a_cols, b, b_cols, out);
-    } else {
-        gemm_nn_scalar_into(a, a_rows, a_cols, b, b_cols, out);
-    }
-}
-
-/// Scalar oracle for [`gemm_nn_into`].
-pub fn gemm_nn_scalar_into(
     a: &[f64],
     a_rows: usize,
     a_cols: usize,
@@ -397,32 +358,14 @@ pub fn gemm_nn_scalar_into(
 
 /// `out[j][i] = Σ_s (a[s][j]·scale)·b[s][i]` for `a: rows×m` and
 /// `b: rows×n`, both row-major — the batched weight gradient
-/// `dW = (dz·scale)ᵀ·A` as one pass — dispatching to the scalar oracle
-/// or the SIMD microkernel per [`crate::kernel::simd_active`].
-pub fn gemm_tn_scaled_into(
-    a: &[f64],
-    rows: usize,
-    m: usize,
-    scale: f64,
-    b: &[f64],
-    n: usize,
-    out: &mut [f64],
-) {
-    if kernel::simd_active() {
-        simd::gemm_tn_scaled_simd_into(a, rows, m, scale, b, n, out);
-    } else {
-        gemm_tn_scaled_scalar_into(a, rows, m, scale, b, n, out);
-    }
-}
-
-/// Scalar oracle for [`gemm_tn_scaled_into`]: no transpose pack (row
-/// `s` of both operands is already contiguous).
+/// `dW = (dz·scale)ᵀ·A` as one pass. No transpose pack: row `s` of both
+/// operands is already contiguous.
 ///
 /// Every output element folds over `s` in ascending order from `0.0`,
 /// adding exactly the `(a·scale)·b` products of the per-sample rank-1
 /// update sequence — bit-identical to `Matrix::add_outer` called once
 /// per sample in ascending order on a zeroed accumulator.
-pub fn gemm_tn_scaled_scalar_into(
+pub fn gemm_tn_scaled_into(
     a: &[f64],
     rows: usize,
     m: usize,
@@ -614,6 +557,15 @@ mod tests {
             let got: Vec<f64> = (0..b.cols()).map(|o| c[(s, o)]).collect();
             assert_eq!(got, want, "row {s} diverged from mul_vec_transposed");
         }
+    }
+
+    #[test]
+    fn empty_reduction_zeroes_dirty_output() {
+        // Covers both the 4-row tiles (all three column paths) and the
+        // row remainder.
+        let mut out = vec![f64::NAN; 5 * 25];
+        gemm_nn_into(&[], 5, 0, &[], 25, &mut out);
+        assert!(out.iter().all(|&v| v == 0.0), "a_cols = 0 must write zeros");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use ctjam_nn::batch::Batch;
 use ctjam_nn::loss::Loss;
-use ctjam_nn::matrix::Matrix;
+use ctjam_nn::matrix::{gemm_tn_scaled_into, Matrix};
 use ctjam_nn::mlp::{BatchScratch, MlpBuilder};
 use ctjam_nn::serialize::{from_bytes, to_bytes};
 use proptest::prelude::*;
@@ -105,15 +105,17 @@ proptest! {
         prop_assert_eq!(net.flatten_params(), flat);
     }
 
-    /// Tentpole invariant: the blocked batch kernels reproduce the
-    /// per-sample matrix products bit-for-bit over random shapes
-    /// (covering the 8-wide register tile and its remainder loop).
+    /// Tentpole invariant: the blocked GEMM kernels reproduce the
+    /// per-sample matrix products bit-for-bit over random shapes. Widths
+    /// up to 48 reach the 16-wide register tile (up to three times per
+    /// row), the 8-wide tile and the column remainder, plus the 4-row
+    /// tiles and their row remainder.
     #[test]
     fn batched_matmuls_are_bit_exact(
         seed in any::<u64>(),
         rows in 1usize..20,
-        k in 1usize..20,
-        out in 1usize..20,
+        k in 1usize..=48,
+        out in 1usize..=48,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut next = move || rng.gen_range(-2.0..2.0);
@@ -141,6 +143,17 @@ proptest! {
         for (s, row) in x.iter_rows().enumerate() {
             prop_assert_eq!(nn.row(s), &w2.mul_vec_transposed(row)[..]);
         }
+
+        // The weight gradient: one batched pass equals a per-sample
+        // rank-1 update sequence on a zeroed accumulator.
+        let scale = next();
+        let mut tn = vec![f64::NAN; out * k];
+        gemm_tn_scaled_into(nt.as_slice(), rows, out, scale, x.as_slice(), k, &mut tn);
+        let mut want = Matrix::zeros(out, k);
+        for (dz, row) in nt.iter_rows().zip(x.iter_rows()) {
+            want.add_outer(dz, row, scale);
+        }
+        prop_assert_eq!(&tn[..], want.as_slice());
     }
 
     /// Tentpole invariant: a batched forward pass equals `rows`

@@ -29,11 +29,6 @@
 //!   tenant 0, which v1 clients address implicitly)
 //! * `CTJAM_SERVE_WATCH` — if set, hot-reload every tenant's
 //!   checkpoint path on modification
-//! * `CTJAM_SERVE_INT8` — if set to anything but `0`, serve through
-//!   the int8-quantized forward path when the policy clears its
-//!   greedy-action-agreement gate (falls back to f64 otherwise; an
-//!   `INT8 active|fallback` line before `LISTENING` reports the
-//!   default tenant's verdict)
 
 use ctjam_dqn::policy::GreedyPolicy;
 use ctjam_serve::server::{PolicyServer, ServerConfig};
@@ -81,7 +76,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let int8_requested = std::env::var("CTJAM_SERVE_INT8").is_ok_and(|v| v != "0");
     let max_queue_delay = std::env::var("CTJAM_SERVE_MAX_QUEUE_DELAY_US")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -90,7 +84,6 @@ fn main() -> ExitCode {
         max_batch: env_u64("CTJAM_SERVE_MAX_BATCH", 16) as usize,
         max_wait: Duration::from_micros(env_u64("CTJAM_SERVE_MAX_WAIT_US", 200)),
         queue_capacity: env_u64("CTJAM_SERVE_QUEUE_CAP", 1024) as usize,
-        quantize_int8: int8_requested,
         workers: env_u64("CTJAM_SERVE_WORKERS", 0) as usize,
         max_queue_delay,
         ..ServerConfig::default()
@@ -134,16 +127,6 @@ fn main() -> ExitCode {
 
     let mut stdout = std::io::stdout().lock();
     let _ = writeln!(stdout, "WORKERS {}", server.worker_count());
-    if int8_requested {
-        // Report the gate's verdict before the readiness line so
-        // orchestrators that read up to LISTENING still see it.
-        let verdict = if server.int8_active() {
-            "active"
-        } else {
-            "fallback"
-        };
-        let _ = writeln!(stdout, "INT8 {verdict}");
-    }
     // The machine-readable readiness line orchestrators wait for.
     let _ = writeln!(stdout, "LISTENING {}", server.local_addr());
     let _ = stdout.flush();

@@ -40,13 +40,6 @@ pub struct ServeMetrics {
     pub reloads_ok: Counter,
     /// Checkpoint hot-reloads rejected (corrupt or incompatible).
     pub reloads_rejected: Counter,
-    /// int8 policies admitted by the agreement gate (at bind or reload).
-    pub quant_admissions: Counter,
-    /// int8 quantizations rejected by the agreement gate (the server
-    /// fell back to the f64 policy; serving was never interrupted).
-    pub quant_gate_failures: Counter,
-    /// Batches served through the int8 path.
-    pub int8_batches: Counter,
     /// Batches flushed into `forward_batch`.
     pub batches: Counter,
     /// Requests per flushed batch (mean = batch occupancy).
@@ -80,9 +73,6 @@ impl ServeMetrics {
             wire_errors: Counter::new("wire_errors"),
             reloads_ok: Counter::new("reloads_ok"),
             reloads_rejected: Counter::new("reloads_rejected"),
-            quant_admissions: Counter::new("quant_admissions"),
-            quant_gate_failures: Counter::new("quant_gate_failures"),
-            int8_batches: Counter::new("int8_batches"),
             batches: Counter::new("batches"),
             batch_size: Histogram::new("batch_size", 0.0, 256.0, 256),
             queue_depth: Histogram::new("queue_depth", 0.0, 1024.0, 128),
@@ -111,9 +101,6 @@ impl ServeMetrics {
             &self.wire_errors,
             &self.reloads_ok,
             &self.reloads_rejected,
-            &self.quant_admissions,
-            &self.quant_gate_failures,
-            &self.int8_batches,
             &self.batches,
         ] {
             counters.set(c.name, c.value);
@@ -146,10 +133,6 @@ pub struct TenantMetrics {
     pub reloads_ok: Counter,
     /// Checkpoint hot-reloads rejected for this tenant.
     pub reloads_rejected: Counter,
-    /// int8 quantizations admitted by the gate for this tenant.
-    pub quant_admissions: Counter,
-    /// int8 quantizations rejected by the gate (served f64 instead).
-    pub quant_gate_failures: Counter,
     /// Enqueue→reply latency per request, microseconds.
     pub latency_us: Histogram,
 }
@@ -170,8 +153,6 @@ impl TenantMetrics {
             bad_observations: Counter::new("bad_observations"),
             reloads_ok: Counter::new("reloads_ok"),
             reloads_rejected: Counter::new("reloads_rejected"),
-            quant_admissions: Counter::new("quant_admissions"),
-            quant_gate_failures: Counter::new("quant_gate_failures"),
             latency_us: Histogram::new("latency_us", 0.0, 50_000.0, 1000),
         }
     }
@@ -186,8 +167,6 @@ impl TenantMetrics {
             &self.bad_observations,
             &self.reloads_ok,
             &self.reloads_rejected,
-            &self.quant_admissions,
-            &self.quant_gate_failures,
         ] {
             counters.set(c.name, c.value);
         }

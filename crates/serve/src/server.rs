@@ -21,10 +21,8 @@
 //!   write half;
 //! * one **batch worker per shard** pulls size-or-deadline coalesced
 //!   batches, groups each flush's rows by tenant, and runs one
-//!   `Mlp::forward_batch` per tenant group — or the int8-quantized
-//!   forward when [`ServerConfig::quantize_int8`] is on and that
-//!   tenant's policy cleared its agreement gate — cloning each tenant's
-//!   serving-model `Arc` **once per group**, so every response in a
+//!   `Mlp::forward_batch` per tenant group, cloning each tenant's
+//!   policy `Arc` **once per group**, so every response in a
 //!   group is computed by exactly one policy version even while a
 //!   hot-reload swaps the pointer (no torn reads). Replies are
 //!   coalesced into one buffered write per connection, keyed by the
@@ -67,10 +65,8 @@ use crate::metrics::{ServeMetrics, TenantMetrics};
 use crate::protocol::{ErrorCode, Message, WireError, DEFAULT_TENANT};
 use ctjam_dqn::checkpoint::CheckpointError;
 use ctjam_dqn::policy::GreedyPolicy;
-use ctjam_dqn::quant::{synthetic_observations, QuantizedPolicy};
 use ctjam_nn::batch::Batch;
 use ctjam_nn::mlp::BatchScratch;
-use ctjam_nn::quant::QuantScratch;
 use ctjam_telemetry::JsonValue;
 use std::collections::HashMap;
 use std::fmt;
@@ -138,15 +134,6 @@ pub struct ServerConfig {
     /// Read timeout on connections (shutdown-notice latency) and the
     /// checkpoint watchers' poll interval.
     pub poll_interval: Duration,
-    /// Serve through the int8-quantized forward path when a tenant's
-    /// policy clears the greedy-action-agreement gate
-    /// ([`INT8_MIN_AGREEMENT`] on [`INT8_HOLDOUT_SIZE`] held-out
-    /// synthetic observations). A policy that fails the gate is served
-    /// in f64 and the rejection is counted in `quant_gate_failures`;
-    /// the gate re-runs on every hot-reload, independently per tenant.
-    /// Off by default — training and evaluation never see the
-    /// quantized path.
-    pub quantize_int8: bool,
     /// Batch workers (= shards). `0` resolves to
     /// `std::thread::available_parallelism()` at bind time. Worker
     /// count never changes which action an observation gets — only how
@@ -168,22 +155,11 @@ impl Default for ServerConfig {
             max_wait: Duration::from_micros(200),
             queue_capacity: 1024,
             poll_interval: Duration::from_millis(25),
-            quantize_int8: false,
             workers: 0,
             max_queue_delay: None,
         }
     }
 }
-
-/// Greedy-action agreement an int8 policy must reach on the held-out
-/// set before the server will use it (§ behavioral gate).
-pub const INT8_MIN_AGREEMENT: f64 = 0.995;
-/// Rows in the synthetic calibration set (plus corner vectors).
-pub const INT8_CALIBRATION_SIZE: usize = 256;
-/// Rows in the synthetic hold-out set the gate is measured on.
-pub const INT8_HOLDOUT_SIZE: usize = 256;
-const INT8_CALIBRATION_SEED: u64 = 0x5ca1ab1e;
-const INT8_HOLDOUT_SEED: u64 = 0x0ddba11;
 
 /// Reply-buffer cache bound per worker: above this many cached
 /// connections, entries idle for [`REPLY_CACHE_KEEP`] flushes are
@@ -249,17 +225,6 @@ impl fmt::Display for TenantError {
 
 impl std::error::Error for TenantError {}
 
-/// What the batch workers serve one tenant with: the f64 policy
-/// (always present — it validates reloads and is the fallback) plus,
-/// when `quantize_int8` is on **and** the agreement gate passed, its
-/// int8 twin. One `Arc<ServingModel>` swap per reload keeps the pair
-/// consistent: a tenant group can never mix an old f64 policy with a
-/// new quantization or vice versa.
-struct ServingModel {
-    policy: GreedyPolicy,
-    quant: Option<QuantizedPolicy>,
-}
-
 /// One registered model: the swap point for hot-reloads plus the
 /// tenant's own metrics. `input_size` is denormalized out of the model
 /// so the per-request width check (and the connection-side cache of
@@ -268,56 +233,18 @@ struct ServingModel {
 struct Tenant {
     id: u32,
     input_size: usize,
-    model: RwLock<Arc<ServingModel>>,
+    model: RwLock<Arc<GreedyPolicy>>,
     metrics: Mutex<TenantMetrics>,
 }
 
 impl Tenant {
-    fn current_model(&self) -> Arc<ServingModel> {
+    fn current_model(&self) -> Arc<GreedyPolicy> {
         Arc::clone(&self.model.read().expect("model lock poisoned"))
     }
 
     fn metrics(&self) -> MutexGuard<'_, TenantMetrics> {
         self.metrics.lock().expect("tenant metrics lock poisoned")
     }
-}
-
-/// Quantizes `policy` behind the agreement gate (when asked to) and
-/// records the admission or rejection in both the global and the
-/// tenant's metrics. Quantization happens here — at checkpoint load —
-/// never on the serving path.
-fn admit_model(
-    policy: GreedyPolicy,
-    quantize: bool,
-    global: &Mutex<ServeMetrics>,
-    tenant: &Mutex<TenantMetrics>,
-) -> ServingModel {
-    let quant = if quantize {
-        let calibration = synthetic_observations(
-            policy.input_size(),
-            INT8_CALIBRATION_SEED,
-            INT8_CALIBRATION_SIZE,
-        );
-        let holdout =
-            synthetic_observations(policy.input_size(), INT8_HOLDOUT_SEED, INT8_HOLDOUT_SIZE);
-        let mut g = global.lock().expect("metrics lock poisoned");
-        let mut t = tenant.lock().expect("tenant metrics lock poisoned");
-        match QuantizedPolicy::quantize_gated(&policy, &calibration, &holdout, INT8_MIN_AGREEMENT) {
-            Ok((q, _agreement)) => {
-                g.quant_admissions.incr();
-                t.quant_admissions.incr();
-                Some(q)
-            }
-            Err(_) => {
-                g.quant_gate_failures.incr();
-                t.quant_gate_failures.incr();
-                None
-            }
-        }
-    } else {
-        None
-    };
-    ServingModel { policy, quant }
 }
 
 /// One worker's slice of the server: its request queue and the EWMA of
@@ -356,22 +283,20 @@ impl Shared {
         if tenants.iter().any(|t| t.id == id) {
             return Err(TenantError::Duplicate(id));
         }
-        let metrics = Mutex::new(TenantMetrics::new());
-        let model = admit_model(policy, self.config.quantize_int8, &self.metrics, &metrics);
         let tenant = Arc::new(Tenant {
             id,
-            input_size: model.policy.input_size(),
-            model: RwLock::new(Arc::new(model)),
-            metrics,
+            input_size: policy.input_size(),
+            model: RwLock::new(Arc::new(policy)),
+            metrics: Mutex::new(TenantMetrics::new()),
         });
         tenants.push(Arc::clone(&tenant));
         Ok(tenant)
     }
 
     /// Validate-then-swap for one tenant. The new policy is fully
-    /// loaded, verified, and (when configured) re-quantized before the
-    /// write lock is taken, so the swap itself is a pointer store and
-    /// readers only ever see a complete model.
+    /// loaded and verified before the write lock is taken, so the swap
+    /// itself is a pointer store and readers only ever see a complete
+    /// model.
     fn reload_tenant(&self, tenant: &Tenant, path: &Path) -> Result<(), ReloadError> {
         let loaded = match GreedyPolicy::load_checkpoint(path) {
             Ok(p) => p,
@@ -382,20 +307,14 @@ impl Shared {
             }
         };
         let current = tenant.current_model();
-        let expected = (current.policy.input_size(), current.policy.num_actions());
+        let expected = (current.input_size(), current.num_actions());
         let found = (loaded.input_size(), loaded.num_actions());
         if expected != found {
             self.metrics().reloads_rejected.incr();
             tenant.metrics().reloads_rejected.incr();
             return Err(ReloadError::ShapeMismatch { expected, found });
         }
-        let model = admit_model(
-            loaded,
-            self.config.quantize_int8,
-            &self.metrics,
-            &tenant.metrics,
-        );
-        *tenant.model.write().expect("model lock poisoned") = Arc::new(model);
+        *tenant.model.write().expect("model lock poisoned") = Arc::new(loaded);
         self.metrics().reloads_ok.incr();
         tenant.metrics().reloads_ok.incr();
         Ok(())
@@ -487,7 +406,7 @@ impl PolicyServer {
     }
 
     /// Registers `policy` under tenant `id`, visible to v2 clients
-    /// immediately. The tenant's int8 gate (when configured) runs here.
+    /// immediately.
     ///
     /// # Errors
     ///
@@ -578,23 +497,6 @@ impl PolicyServer {
             }
         }));
         Ok(())
-    }
-
-    /// Whether the default tenant is currently answering through the
-    /// int8 path — i.e. `quantize_int8` was requested **and** its
-    /// serving policy cleared the agreement gate. `false` means f64
-    /// (either int8 was never requested, or the gate rejected this
-    /// policy).
-    pub fn int8_active(&self) -> bool {
-        self.tenant_int8_active(DEFAULT_TENANT).unwrap_or(false)
-    }
-
-    /// [`PolicyServer::int8_active`] per tenant; `None` when no such
-    /// tenant exists.
-    pub fn tenant_int8_active(&self, tenant: u32) -> Option<bool> {
-        self.shared
-            .find_tenant(tenant)
-            .map(|t| t.current_model().quant.is_some())
     }
 
     /// Snapshot of the server's metrics as JSON: the global counters
@@ -902,10 +804,9 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
     let mut group_actions: Vec<usize> = Vec::new();
     let mut actions: Vec<u32> = Vec::new();
     let mut groups: Vec<(Arc<Tenant>, Vec<usize>)> = Vec::new();
-    // f64 scratch per tenant, invalidated when the tenant's model Arc
-    // changes (a reload may resize layers).
-    let mut scratches: HashMap<u32, (Arc<ServingModel>, BatchScratch)> = HashMap::new();
-    let mut quant_scratch = QuantScratch::default();
+    // Forward scratch per tenant, invalidated when the tenant's model
+    // Arc changes (a reload may resize layers).
+    let mut scratches: HashMap<u32, (Arc<GreedyPolicy>, BatchScratch)> = HashMap::new();
     let mut replies: HashMap<u64, ReplyBuf> = HashMap::new();
     let mut touched: Vec<u64> = Vec::new();
     let mut flush_seq: u64 = 0;
@@ -932,31 +833,19 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
             }
             actions.clear();
             actions.resize(pending.len(), 0);
-            let mut int8_groups = 0u64;
             for (tenant, rows) in &groups {
                 let model = tenant.current_model();
-                batch.reset(model.policy.input_size());
+                batch.reset(model.input_size());
                 for &row in rows {
                     batch.push_row(&pending[row].observation);
                 }
-                match &model.quant {
-                    Some(quant) => {
-                        quant.act_greedy_batch(&batch, &mut quant_scratch, &mut group_actions);
-                        int8_groups += 1;
-                    }
-                    None => {
-                        let entry = scratches.entry(tenant.id).or_insert_with(|| {
-                            let scratch = model.policy.scratch();
-                            (Arc::clone(&model), scratch)
-                        });
-                        if !Arc::ptr_eq(&entry.0, &model) {
-                            *entry = (Arc::clone(&model), model.policy.scratch());
-                        }
-                        model
-                            .policy
-                            .act_greedy_batch(&batch, &mut entry.1, &mut group_actions);
-                    }
+                let entry = scratches
+                    .entry(tenant.id)
+                    .or_insert_with(|| (Arc::clone(&model), model.scratch()));
+                if !Arc::ptr_eq(&entry.0, &model) {
+                    *entry = (Arc::clone(&model), model.scratch());
                 }
+                model.act_greedy_batch(&batch, &mut entry.1, &mut group_actions);
                 for (&row, &action) in rows.iter().zip(&group_actions) {
                     actions[row] = action as u32;
                 }
@@ -972,7 +861,6 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
             {
                 let mut m = shared.metrics();
                 m.batches.incr();
-                m.int8_batches.add(int8_groups);
                 m.batch_size.record(pending.len() as f64);
                 m.queue_depth.record(shard.queue.depth() as f64);
                 m.responses.add(pending.len() as u64);

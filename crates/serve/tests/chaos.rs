@@ -24,7 +24,7 @@ struct ServerProcess {
 }
 
 /// Reads stdout lines up to and including `LISTENING <addr>`; the
-/// binary may report `WORKERS`/`INT8` diagnostics first.
+/// binary reports its `WORKERS` count first.
 fn read_until_listening(lines: &mut impl Iterator<Item = std::io::Result<String>>) -> SocketAddr {
     loop {
         let line = lines
@@ -35,7 +35,7 @@ fn read_until_listening(lines: &mut impl Iterator<Item = std::io::Result<String>
             return addr.parse().expect("parsable address");
         }
         assert!(
-            line.starts_with("WORKERS ") || line.starts_with("INT8 "),
+            line.starts_with("WORKERS "),
             "unexpected readiness line: {line}"
         );
     }

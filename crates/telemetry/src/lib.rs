@@ -27,6 +27,8 @@
 //! `ctjam-core` in the crate graph: core converts its own types into the
 //! plain-data events defined here.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod export;
 pub mod health;
