@@ -1,8 +1,13 @@
 #!/bin/bash
-# CI gate: formatting, lints, tier-1 tests, and manifest archiving.
+# CI gate: formatting, lints, every test suite, bench and benchmark
+# smokes, and manifest archiving. Leaves the tracked tree untouched.
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# Smoke outputs that are checked and then thrown away.
+ci_tmp="$(mktemp -d)"
+trap 'rm -rf "$ci_tmp"' EXIT
 
 echo "== cargo fmt --check =="
 cargo fmt --check
@@ -38,47 +43,32 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
   -p ctjam-telemetry -p ctjam-fault -p ctjam-fleet -p ctjam-scenario \
   -p ctjam-serve
 
+# The benchmark package (benchmark/, a Cargo workspace of its own) is
+# what the benchmark stage below runs, so it gets the same gates.
+echo "== benchmark/: cargo fmt --check, clippy -D warnings, test --release =="
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+cargo clippy --offline --locked --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
+cargo test --release --offline --locked -q --manifest-path benchmark/Cargo.toml
+
 # Criterion smoke mode: each bench target runs one iteration per
 # benchmark, catching bit-rot in bench code without paying for a full
 # measurement run.
 echo "== cargo bench -- --test (bench smoke) =="
 cargo bench -p ctjam-bench --benches -- --test
 
-# Perf-manifest smoke: the perf_report binary must run (quick mode) and
-# emit well-formed BENCH_slotloop.json / BENCH_dqn.json at the repo
-# root, each carrying provenance (git describe, seed, config hash,
-# target-cpu features) and at least one measurement. The full-size run
-# (plain `cargo run --release -p ctjam-bench --bin perf_report`) is what
-# EXPERIMENTS.md's "Performance trajectory" numbers come from.
-echo "== perf_report quick run (BENCH_*.json smoke) =="
-CTJAM_BENCH_QUICK=1 cargo run --release -q -p ctjam-bench --bin perf_report
-
-# Serve smoke: spawn the standalone policy_server binary on an
-# ephemeral loopback port and drive it with the serve_bench load
-# harness in quick mode. The harness respawns the binary per mode —
-# single-worker, 2- and 4-worker sharding, multi-tenant (v1 clients on
-# the default tenant concurrent with v2 tenant-addressed clients), and
-# the queue-delay SLO — so this exercises the whole serving stack end
-# to end: wire protocol both versions, sharded micro-batchers, tenant
-# registry, admission control, reply path, drain. Every served action
-# is asserted bit-exact against the in-process agent. The
-# full-size run (plain `cargo run --release -p ctjam-bench --bin
-# serve_bench`) is what EXPERIMENTS.md's "Policy serving" numbers come
-# from.
-echo "== serve_bench quick run vs standalone policy_server (serve smoke) =="
-cargo build --release -q -p ctjam-serve --bin policy_server
-CTJAM_BENCH_QUICK=1 CTJAM_SERVE_BIN=target/release/policy_server \
-  cargo run --release -q -p ctjam-bench --bin serve_bench
-
-# Fleet smoke: run the sharded campaign engine's throughput recorder in
-# quick mode. The binary itself asserts bit-exact goodput vectors and
-# merged telemetry across every thread count it measures, so this stage
-# doubles as a determinism check under real scheduling, and it must emit
-# a well-formed BENCH_fleet.json. The full-size run (plain `cargo run
-# --release -p ctjam-bench --bin fleet_bench`) is what EXPERIMENTS.md's
-# "Fleet campaign engine" numbers come from.
-echo "== fleet_bench quick run (fleet smoke) =="
-CTJAM_BENCH_QUICK=1 cargo run --release -q -p ctjam-bench --bin fleet_bench
+# Benchmark smoke: every workload of benchmark/ in quick mode at the
+# default seed. Each run checks every output (served actions bit-exact
+# against the in-process policy, sweep and campaign metrics finite and
+# complete, checkpoint save/load round trip) and its benchmark/pins.json
+# digest, and exits non-zero on any failure. The serve workloads drive
+# the real policy_server binary over v1 and v2 frames with hot reloads.
+echo "== benchmark quick runs (repro_sweep, fleet_zoo, serve_closed, serve_open) =="
+for workload in repro_sweep fleet_zoo serve_closed serve_open; do
+  bash benchmark/run.sh --workload "$workload" --quick --out "$ci_tmp/benchmark" \
+    > "$ci_tmp/$workload.out" 2> "$ci_tmp/$workload.err" \
+    || { cat "$ci_tmp/$workload.err" "$ci_tmp/$workload.out"; echo "FAIL: benchmark $workload"; exit 1; }
+  echo "  $workload: $(tail -n 1 "$ci_tmp/$workload.out")"
+done
 
 # League smoke: run the self-play league + adversary cross-table in
 # quick mode. The binary asserts the cross-table's goodput vector is
@@ -87,10 +77,11 @@ CTJAM_BENCH_QUICK=1 cargo run --release -q -p ctjam-bench --bin fleet_bench
 # (schema, >=5 adversaries x >=3 defenders, rectangular rows, the
 # worker pin recorded). The full-size run (plain `cargo run --release
 # -p ctjam-bench --bin league`) is what EXPERIMENTS.md's league
-# cross-table numbers come from.
+# cross-table numbers come from; the smoke writes to a temporary
+# directory so the committed results/league_crosstable.json stays put.
 echo "== league quick run (league smoke) =="
-CTJAM_BENCH_QUICK=1 cargo run --release -q -p ctjam-bench --bin league
-python3 - results/league_crosstable.json <<'PYEOF'
+cargo run --release -q -p ctjam-bench --bin league -- --quick --out-dir "$ci_tmp/league"
+python3 - "$ci_tmp/league/league_crosstable.json" <<'PYEOF'
 import json, sys
 path = sys.argv[1]
 with open(path) as fh:
@@ -124,8 +115,8 @@ PYEOF
 echo "== campaign quick run x2 (campaign smoke, byte-deterministic report) =="
 rm -rf results/campaign_smoke results/campaign_smoke2
 cargo build --release -q -p ctjam-bench --bin campaign
-CTJAM_BENCH_QUICK=1 target/release/campaign --out results/campaign_smoke --threads 2
-CTJAM_BENCH_QUICK=1 target/release/campaign --out results/campaign_smoke2 --threads 1
+target/release/campaign --quick --out results/campaign_smoke --threads 2
+target/release/campaign --quick --out results/campaign_smoke2 --threads 1
 cmp results/campaign_smoke/report.html results/campaign_smoke2/report.html \
   || { echo "FAIL: campaign report.html is not byte-deterministic across worker counts"; exit 1; }
 python3 - results/campaign_smoke <<'PYEOF'
@@ -169,55 +160,6 @@ assert ckpts, f"{out}: campaign scenario left no progress checkpoint"
 print(f"  {out}: ok ({len(manifests)} manifests, {len(svgs)} SVG plots, "
       f"{len(ckpts)} checkpoint(s))")
 PYEOF
-
-for f in BENCH_slotloop.json BENCH_dqn.json BENCH_serve.json BENCH_fleet.json; do
-  test -s "$f" || { echo "FAIL: $f missing or empty"; exit 1; }
-  python3 - "$f" <<'PYEOF'
-import json, sys
-path = sys.argv[1]
-with open(path) as fh:
-    m = json.load(fh)
-for key in ("schema", "name", "seed", "git", "config_hash",
-            "target_cpu_features", "created_unix_s"):
-    assert key in m, f"{path}: missing provenance key {key!r}"
-assert m["schema"] == "ctjam-bench/v1", f"{path}: unexpected schema {m['schema']!r}"
-measurements = [k for k in m if k.endswith(("_ns", "_us", "_s", "_ns_per_slot",
-                                            "_ns_per_point", "_x"))]
-assert measurements, f"{path}: no measurement keys"
-if path == "BENCH_dqn.json":
-    assert "forward_batch32_scalar_ns" in m, f"{path}: missing scalar forward timing"
-if path == "BENCH_serve.json":
-    # Sharded / multi-tenant / SLO measurements (PR 9). A 1-thread
-    # container must say so explicitly rather than let a flat worker
-    # sweep read as a sharding defect.
-    for key in ("workers_2_throughput_req_per_s", "workers_4_throughput_req_per_s",
-                "workers_2_latency_p99_us", "workers_4_latency_p99_us",
-                "multi_tenant_throughput_req_per_s", "multi_tenant_latency_p99_us",
-                "slo_max_queue_delay_us", "slo_throughput_req_per_s",
-                "slo_shed_count", "slo_shed_rate"):
-        assert key in m, f"{path}: missing serving field {key!r}"
-    assert 0.0 <= m["slo_shed_rate"] <= 1.0, f"{path}: shed rate out of [0,1]"
-    if m["threads_available"] == 1:
-        assert "worker_scaling_note" in m, \
-            f"{path}: 1-thread runs must carry worker_scaling_note"
-print(f"  {path}: ok ({len(measurements)} measurements)")
-PYEOF
-done
-
-# A committed BENCH manifest must come from a clean tree: its `git`
-# field is the only link between the numbers and the code that produced
-# them, and `<sha>-dirty` severs it. (perf_report warns and records
-# `dirty_tree: true` at generation time; this is the backstop that
-# keeps such manifests from landing.) Only committed copies are
-# checked — the working tree is legitimately dirty mid-development.
-echo "== committed BENCH manifests carry a clean git describe =="
-for f in $(git ls-files 'BENCH_*.json'); do
-  if git show "HEAD:$f" 2>/dev/null | grep -q '"git": *"[^"]*-dirty"'; then
-    echo "FAIL: committed $f was generated from a dirty tree (git field ends in -dirty);"
-    echo "      regenerate it from a clean checkout and amend the commit"
-    exit 1
-  fi
-done
 
 # Archive any run manifests produced by figure binaries so CI artifacts
 # keep the provenance (seed, config hash, git describe) of every table.

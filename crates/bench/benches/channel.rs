@@ -1,9 +1,8 @@
-//! Channel-model costs: the BER closed form and a full Fig. 2(b)-style
-//! link evaluation.
+//! Channel-model costs: the BER closed form, one Fig. 2(b)-style link
+//! evaluation, and the 15-point Fig. 2(b) distance sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ctjam_channel::ber::oqpsk_dsss_ber;
-use ctjam_channel::cache::PerCache;
 use ctjam_channel::link::{JammerKind, JammingScenario};
 use ctjam_channel::units::db_to_linear;
 
@@ -21,18 +20,6 @@ fn bench_channel(c: &mut Criterion) {
     let distances: Vec<f64> = (1..=15).map(f64::from).collect();
     c.bench_function("link_sweep_fig2b_series", |b| {
         b.iter(|| std::hint::black_box(scenario.sweep(JammerKind::EmuBee, &distances)));
-    });
-
-    // The same sweep through the PerCache: after the first pass every
-    // operating point hits, so this measures the memoized steady state
-    // the slot loop sees (bit-exact with the series above).
-    c.bench_function("link_sweep_fig2b_series_cached", |b| {
-        let mut cache = PerCache::new();
-        let mut out = Vec::new();
-        b.iter(|| {
-            scenario.sweep_cached_into(JammerKind::EmuBee, &distances, &mut cache, &mut out);
-            std::hint::black_box(&out);
-        });
     });
 }
 

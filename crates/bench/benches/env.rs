@@ -73,8 +73,7 @@ fn bench_env(c: &mut Criterion) {
 
     // The DQN evaluation loop: decide() runs the network through the
     // reusable inference scratch, so steady state performs no per-slot
-    // allocation (the allocation audit this guards landed with the
-    // PerCache tentpole).
+    // allocation.
     c.bench_function("run_100_slots_dqn_eval", |b| {
         let mut rng = StdRng::seed_from_u64(5);
         let mut env = CompetitionEnv::new(params.clone(), &mut rng);

@@ -2,8 +2,7 @@
 //! all available. The budget is tiny — this bench exists to catch a
 //! scaling regression (e.g. an accidental serialization point in
 //! `parallel_map`), not to measure the figures' real workload; the
-//! `perf_report` binary records the sized version in
-//! `BENCH_slotloop.json`.
+//! `repro_sweep` workload of `benchmark/` times the sized version.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ctjam_core::env::EnvParams;

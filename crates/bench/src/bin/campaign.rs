@@ -16,10 +16,9 @@
 //! `campaign` scenarios checkpoint per completed policy into
 //! `<out>/<name>.progress.ckpt`; `--resume` reconstitutes completed
 //! policies bit-exactly and rejects a checkpoint whose fingerprint does
-//! not match the (effective) scenario file. `--quick` (or
-//! `CTJAM_BENCH_QUICK=1`) applies each scenario's `quick` overrides —
-//! quick runs fingerprint differently, so a quick checkpoint can never
-//! resume a full campaign.
+//! not match the (effective) scenario file. `--quick` applies each
+//! scenario's `quick` overrides — quick runs fingerprint differently,
+//! so a quick checkpoint can never resume a full campaign.
 
 use ctjam_bench::{results_dir, scenario_dir, start_manifest};
 use ctjam_scenario::report::Report;
@@ -58,7 +57,7 @@ fn parse_args() -> Args {
         out: results_dir().join("campaign"),
         threads: None,
         resume: false,
-        quick: std::env::var("CTJAM_BENCH_QUICK").is_ok_and(|v| v == "1"),
+        quick: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -15,8 +15,8 @@
 //! at 1, 2 and 8 workers, asserting the goodput vector is bit-exact
 //! across all three before a single row is recorded.
 //!
-//! Quick mode (`CTJAM_BENCH_QUICK=1`, the CI league-smoke stage) shrinks
-//! both phases to seconds. Knobs: `CTJAM_LEAGUE_EPOCHS` (self-play
+//! Quick mode (`--quick`, the CI league-smoke stage) shrinks both
+//! phases to seconds. Knobs: `CTJAM_LEAGUE_EPOCHS` (self-play
 //! rounds), `CTJAM_LEAGUE_SLOTS` (slots per training epoch),
 //! `CTJAM_LEAGUE_EVAL_SLOTS` (slots per cross-table episode),
 //! `CTJAM_LEAGUE_SEEDS` (replicates per cell).
@@ -46,7 +46,7 @@ const SCHEMA: &str = "ctjam-league/v1";
 const WORKERS: [usize; 3] = [1, 2, 8];
 
 /// Compile-time SIMD features — evidence that `target-cpu=native` took
-/// effect for this build (mirrors `perf_report` / `fleet_bench`).
+/// effect for this build.
 fn target_cpu_features() -> String {
     let mut feats: Vec<&str> = Vec::new();
     if cfg!(target_feature = "sse4.2") {
@@ -74,10 +74,11 @@ fn target_cpu_features() -> String {
     }
 }
 
-/// Parses the one flag this binary takes: `--out-dir DIR` (default:
-/// [`results_dir`]).
-fn parse_out_dir() -> PathBuf {
+/// Parses the flags this binary takes: `--out-dir DIR` (default:
+/// [`results_dir`]) and `--quick`.
+fn parse_args() -> (PathBuf, bool) {
     let mut out = results_dir();
+    let mut quick = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -88,18 +89,18 @@ fn parse_out_dir() -> PathBuf {
                     std::process::exit(2)
                 }
             },
+            "--quick" => quick = true,
             _ => {
-                eprintln!("usage: league [--out-dir DIR]");
+                eprintln!("usage: league [--out-dir DIR] [--quick]");
                 std::process::exit(2)
             }
         }
     }
-    out
+    (out, quick)
 }
 
 fn main() {
-    let out_dir = parse_out_dir();
-    let quick = std::env::var("CTJAM_BENCH_QUICK").is_ok();
+    let (out_dir, quick) = parse_args();
     let epochs = env_usize("CTJAM_LEAGUE_EPOCHS", if quick { 2 } else { 6 });
     let epoch_slots = env_usize("CTJAM_LEAGUE_SLOTS", if quick { 600 } else { 6_000 });
     let eval_slots = env_usize("CTJAM_LEAGUE_EVAL_SLOTS", if quick { 120 } else { 2_000 });

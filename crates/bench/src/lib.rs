@@ -53,14 +53,6 @@ pub fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Reads a float knob from the environment with a default.
-pub fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Prints the standard banner for a reproduction binary.
 pub fn banner(figure: &str, claim: &str) {
     println!("==========================================================");
@@ -168,7 +160,6 @@ mod tests {
     #[test]
     fn env_knobs_fall_back() {
         assert_eq!(env_usize("CTJAM_DOES_NOT_EXIST", 5), 5);
-        assert_eq!(env_f64("CTJAM_DOES_NOT_EXIST", 2.5), 2.5);
     }
 
     #[test]

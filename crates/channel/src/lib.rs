@@ -10,8 +10,6 @@
 //! * [`sinr`] — signal-to-interference-plus-noise computation.
 //! * [`ber`] — the IEEE 802.15.4 O-QPSK/DSSS bit-error-rate curve.
 //! * [`per`] — packet error rate and throughput from BER.
-//! * [`cache`] — bit-exact memoization of the SINR→BER→PER chain for
-//!   hot loops that revisit a discrete set of operating points.
 //! * [`link`] — end-to-end link budget: the building block for the
 //!   Fig. 2(b) jamming-effect experiment.
 //!
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod ber;
-pub mod cache;
 pub mod fading;
 pub mod interference;
 pub mod link;

@@ -5,7 +5,6 @@
 //! throughput for each jammer kind — reproducing the paper's effect-
 //! verification experiment (EmuBee > ZigBee > Wi-Fi).
 
-use crate::cache::PerCache;
 use crate::fading::Fading;
 use crate::interference::{InterferenceKind, Interferer};
 use crate::noise::NoiseFloor;
@@ -123,63 +122,6 @@ impl JammingScenario {
             .iter()
             .map(|&d| self.evaluate(kind, d))
             .collect()
-    }
-
-    /// [`JammingScenario::evaluate`] with the PER chain served from
-    /// `cache`. Bit-exact with the uncached path: the cache keys on the
-    /// exact SINR bit pattern, so a hit returns the identical `f64`s.
-    pub fn evaluate_cached(
-        &self,
-        kind: JammerKind,
-        jammer_distance_m: f64,
-        cache: &mut PerCache,
-    ) -> LinkReport {
-        self.evaluate_with_power_cached(kind, kind.typical_tx_dbm(), jammer_distance_m, cache)
-    }
-
-    /// [`JammingScenario::evaluate_with_power`] with the PER chain
-    /// served from `cache`.
-    pub fn evaluate_with_power_cached(
-        &self,
-        kind: JammerKind,
-        jammer_tx_dbm: f64,
-        jammer_distance_m: f64,
-        cache: &mut PerCache,
-    ) -> LinkReport {
-        let signal_dbm = self
-            .path_loss
-            .received_dbm(self.tx_power_dbm, self.link_distance_m);
-        let jammer = Interferer {
-            kind,
-            received_dbm: self
-                .path_loss
-                .received_dbm(jammer_tx_dbm, jammer_distance_m),
-        };
-        let sinr = sinr_linear(signal_dbm, &[jammer], &self.noise);
-        let (per, goodput_bps) = cache.per_and_goodput(sinr, self.payload_bytes);
-        LinkReport {
-            sinr,
-            per,
-            goodput_bps,
-        }
-    }
-
-    /// [`JammingScenario::sweep`] through a [`PerCache`], appending one
-    /// report per distance into `out` (cleared first) so repeated sweeps
-    /// reuse both the memo table and the output buffer.
-    pub fn sweep_cached_into(
-        &self,
-        kind: JammerKind,
-        distances_m: &[f64],
-        cache: &mut PerCache,
-        out: &mut Vec<LinkReport>,
-    ) {
-        out.clear();
-        out.extend(
-            distances_m
-                .iter()
-                .map(|&d| self.evaluate_cached(kind, d, cache)),
-        );
     }
 
     /// Evaluates the jammed link averaged over `draws` log-normal
@@ -343,29 +285,5 @@ mod tests {
         let s = JammingScenario::default();
         let ds: Vec<f64> = (1..=15).map(|d| d as f64).collect();
         assert_eq!(s.sweep(JammerKind::EmuBee, &ds).len(), 15);
-    }
-
-    #[test]
-    fn cached_sweep_is_bit_exact_and_hits_on_repeat() {
-        let s = JammingScenario::default();
-        let ds: Vec<f64> = (1..=15).map(|d| d as f64).collect();
-        let plain = s.sweep(JammerKind::EmuBee, &ds);
-        let mut cache = crate::cache::PerCache::new();
-        let mut cached = Vec::new();
-        for pass in 0..3 {
-            s.sweep_cached_into(JammerKind::EmuBee, &ds, &mut cache, &mut cached);
-            for (a, b) in plain.iter().zip(&cached) {
-                assert_eq!(a.sinr.to_bits(), b.sinr.to_bits(), "pass {pass}");
-                assert_eq!(a.per.to_bits(), b.per.to_bits(), "pass {pass}");
-                assert_eq!(
-                    a.goodput_bps.to_bits(),
-                    b.goodput_bps.to_bits(),
-                    "pass {pass}"
-                );
-            }
-        }
-        // First pass misses, later passes hit.
-        assert_eq!(cache.misses(), 15);
-        assert_eq!(cache.hits(), 30);
     }
 }

@@ -1,12 +1,11 @@
 //! Property-based tests for the channel models.
 
 use ctjam_channel::ber::oqpsk_dsss_ber;
-use ctjam_channel::cache::PerCache;
 use ctjam_channel::interference::{InterferenceKind, Interferer};
 use ctjam_channel::link::{JammerKind, JammingScenario};
 use ctjam_channel::noise::NoiseFloor;
 use ctjam_channel::pathloss::PathLoss;
-use ctjam_channel::per::{goodput_bps, packet_error_rate, per_from_sinr};
+use ctjam_channel::per::{goodput_bps, packet_error_rate};
 use ctjam_channel::sinr::sinr_linear;
 use ctjam_channel::units::{db_to_linear, dbm_to_mw, linear_to_db, mw_to_dbm};
 use proptest::prelude::*;
@@ -67,34 +66,6 @@ proptest! {
         let w = scenario.evaluate(JammerKind::WifiOfdm, d).per;
         prop_assert!(e >= z - 1e-9);
         prop_assert!(z >= w - 1e-9);
-    }
-
-    #[test]
-    fn per_cache_is_bit_exact_across_random_grids(
-        sinr_db_points in prop::collection::vec(-40.0f64..40.0, 1..24),
-        payloads in prop::collection::vec(1usize..128, 1..6),
-        repeats in 1usize..4,
-    ) {
-        // Random (SINR, payload) grid, visited `repeats` times so the
-        // cache serves both misses and hits; every returned PER and
-        // goodput must match the uncached chain bit for bit.
-        let mut cache = PerCache::new();
-        for _ in 0..repeats {
-            for &db in &sinr_db_points {
-                let sinr = db_to_linear(db);
-                for &len in &payloads {
-                    let (per, goodput) = cache.per_and_goodput(sinr, len);
-                    let direct_per = per_from_sinr(sinr, len);
-                    prop_assert_eq!(per.to_bits(), direct_per.to_bits());
-                    prop_assert_eq!(goodput.to_bits(), goodput_bps(direct_per, len).to_bits());
-                }
-            }
-        }
-        let lookups = (repeats * sinr_db_points.len() * payloads.len()) as u64;
-        prop_assert_eq!(cache.hits() + cache.misses(), lookups);
-        // Distinct grid points may collide only if two dB draws map to
-        // identical bits; misses never exceed one per (point, payload).
-        prop_assert!(cache.misses() <= (sinr_db_points.len() * payloads.len()) as u64);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! greedy policy on `bind-addr` (default `127.0.0.1:0` — an ephemeral
 //! loopback port), prints `LISTENING <addr>` once ready, and runs until
 //! stdin reaches EOF or a `quit` line arrives, then drains gracefully
-//! and prints the final metrics. Orchestrators (the `serve_bench` load
-//! harness, the chaos tests, `ci.sh`) parse the `LISTENING` line for
-//! the resolved port and close stdin to stop the server.
+//! and prints the final `METRICS` JSON. Orchestrators (the serve
+//! workloads of `benchmark/`, the chaos tests) parse the `LISTENING`
+//! line for the resolved port and close stdin to stop the server.
 //!
-//! Environment knobs:
+//! Environment knobs (the numeric ones must be unsigned integers; any
+//! other value exits with status 2 before the server starts):
 //!
 //! * `CTJAM_SERVE_MAX_BATCH` — micro-batch flush size (default 16)
 //! * `CTJAM_SERVE_MAX_WAIT_US` — micro-batch flush deadline (default 200)
@@ -35,13 +36,33 @@ use ctjam_serve::server::{PolicyServer, ServerConfig};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reads an unsigned integer knob: `Ok(None)` when unset, an error
+/// naming the variable when set to anything else.
+fn env_uint<T: FromStr>(key: &str) -> Result<Option<T>, String> {
+    let Some(raw) = std::env::var_os(key) else {
+        return Ok(None);
+    };
+    match raw.to_str().map(str::parse) {
+        Some(Ok(value)) => Ok(Some(value)),
+        _ => Err(format!("{key}: {raw:?} is not an unsigned integer")),
+    }
+}
+
+/// The [`ServerConfig`] the numeric knobs describe, defaults elsewhere.
+fn server_config() -> Result<ServerConfig, String> {
+    let defaults = ServerConfig::default();
+    Ok(ServerConfig {
+        max_batch: env_uint("CTJAM_SERVE_MAX_BATCH")?.unwrap_or(defaults.max_batch),
+        max_wait: env_uint("CTJAM_SERVE_MAX_WAIT_US")?
+            .map_or(defaults.max_wait, Duration::from_micros),
+        queue_capacity: env_uint("CTJAM_SERVE_QUEUE_CAP")?.unwrap_or(defaults.queue_capacity),
+        workers: env_uint("CTJAM_SERVE_WORKERS")?.unwrap_or(defaults.workers),
+        max_queue_delay: env_uint("CTJAM_SERVE_MAX_QUEUE_DELAY_US")?.map(Duration::from_micros),
+        ..defaults
+    })
 }
 
 /// Parses `CTJAM_SERVE_TENANTS`: `id=path;id=path`, empty entries
@@ -68,6 +89,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let addr = args.next().unwrap_or_else(|| "127.0.0.1:0".to_string());
+    let config = match server_config() {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("policy_server: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
     let policy = match GreedyPolicy::load_checkpoint(&checkpoint) {
         Ok(policy) => policy,
@@ -75,18 +103,6 @@ fn main() -> ExitCode {
             eprintln!("policy_server: cannot load {}: {e}", checkpoint.display());
             return ExitCode::FAILURE;
         }
-    };
-    let max_queue_delay = std::env::var("CTJAM_SERVE_MAX_QUEUE_DELAY_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(Duration::from_micros);
-    let config = ServerConfig {
-        max_batch: env_u64("CTJAM_SERVE_MAX_BATCH", 16) as usize,
-        max_wait: Duration::from_micros(env_u64("CTJAM_SERVE_MAX_WAIT_US", 200)),
-        queue_capacity: env_u64("CTJAM_SERVE_QUEUE_CAP", 1024) as usize,
-        workers: env_u64("CTJAM_SERVE_WORKERS", 0) as usize,
-        max_queue_delay,
-        ..ServerConfig::default()
     };
     let tenants = match parse_tenants(&std::env::var("CTJAM_SERVE_TENANTS").unwrap_or_default()) {
         Ok(tenants) => tenants,
@@ -141,9 +157,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let occupancy = server.mean_batch_occupancy();
     let metrics = server.shutdown();
-    let _ = writeln!(stdout, "MEAN_BATCH_OCCUPANCY {occupancy}");
     let _ = writeln!(stdout, "METRICS {}", metrics.to_string_compact());
     let _ = writeln!(stdout, "SHUTDOWN_OK");
     let _ = stdout.flush();

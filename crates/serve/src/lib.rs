@@ -29,8 +29,9 @@
 //! Served actions are **bit-exact** with `DqnAgent::act_greedy` on the
 //! agent the checkpoint was saved from: the batched forward kernel is
 //! bit-exact with the per-sample one, and the argmax tie/NaN rules are
-//! shared with the agent (asserted end-to-end by the `serve_bench` load
-//! harness in `crates/bench`).
+//! shared with the agent (asserted over loopback by `tests/server.rs` at
+//! 1, 2 and 4 workers, and under load against the `policy_server` binary
+//! by the serve workloads of `benchmark/`).
 //!
 //! # Example
 //!

@@ -211,6 +211,47 @@ fn stdin_eof_shuts_the_binary_down_gracefully() {
     std::fs::remove_file(&ckpt).ok();
 }
 
+/// A numeric setting that is not an unsigned integer stops the binary
+/// with status 2 before it listens, instead of serving with a default
+/// the operator did not ask for (an SLO of `1ms` silently meant no SLO).
+#[test]
+fn malformed_numeric_setting_exits_2_without_listening() {
+    let config = small_config();
+    let agent = trained_agent(&config, 64);
+    let ckpt = temp_file("bad_setting");
+    checkpoint::save_agent(&agent, &ckpt).expect("save checkpoint");
+
+    for (key, value) in [
+        ("CTJAM_SERVE_MAX_QUEUE_DELAY_US", "1ms"),
+        ("CTJAM_SERVE_WORKERS", "two"),
+        ("CTJAM_SERVE_MAX_BATCH", "-4"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_policy_server"))
+            .arg(&ckpt)
+            .arg("127.0.0.1:0")
+            .env(key, value)
+            .stdin(Stdio::null()) // closed: a server that starts exits at once
+            .output()
+            .expect("run policy_server");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{key}={value}: {stdout}{stderr}"
+        );
+        assert!(
+            !stdout.lines().any(|l| l.starts_with("LISTENING ")),
+            "{key}={value} listened anyway: {stdout}"
+        );
+        assert!(
+            stderr.contains(key),
+            "{key}={value}: error names no variable: {stderr}"
+        );
+    }
+    std::fs::remove_file(&ckpt).ok();
+}
+
 /// Graceful drain through the binary with two workers and two tenants
 /// under live load: every in-flight request is either answered
 /// bit-exactly by its own tenant's policy or refused with a typed
