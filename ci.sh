@@ -70,6 +70,17 @@ for workload in repro_sweep fleet_zoo serve_closed serve_open; do
   echo "  $workload: $(tail -n 1 "$ci_tmp/$workload.out")"
 done
 
+# Traced quick run of repro_sweep: its per-layer breakdown must still
+# describe the whole. The phase-by-phase replay of train_step has to sum
+# to within 10% of a whole step (dqn.train_step_coverage) and the traced
+# slot layers to within 10% of the slot loop (runner.coverage); a ratio
+# outside [0.9, 1.1] fails the run, as does any other failed check.
+echo "== benchmark traced quick run (repro_sweep --trace 1, coverage gate) =="
+bash benchmark/run.sh --workload repro_sweep --quick --trace 1 --out "$ci_tmp/benchmark-trace" \
+  > "$ci_tmp/repro_sweep-trace.out" 2> "$ci_tmp/repro_sweep-trace.err" \
+  || { cat "$ci_tmp/repro_sweep-trace.err" "$ci_tmp/repro_sweep-trace.out"; echo "FAIL: benchmark traced repro_sweep"; exit 1; }
+grep -E '^(dqn\.train_step_coverage|runner\.coverage) ' "$ci_tmp/repro_sweep-trace.out" | sed 's/^/  /'
+
 # League smoke: run the self-play league + adversary cross-table in
 # quick mode. The binary asserts the cross-table's goodput vector is
 # bit-exact across 1/2/8 fleet workers before recording any row; this

@@ -41,6 +41,26 @@ fn bench_nn(c: &mut Criterion) {
         });
     });
 
+    // DQN-shaped targets, as `DqnAgent::train_step` passes them: the
+    // prediction with one action per row replaced, so the backward pass
+    // skips the other 159 output entries of each row.
+    let prediction = net.forward(&x);
+    let td_rows: Vec<Vec<f64>> = (0..32)
+        .map(|s| {
+            let mut row = prediction.clone();
+            row[(s * 37) % 160] = target[s];
+            row
+        })
+        .collect();
+    let td_refs: Vec<&[f64]> = td_rows.iter().map(|r| &r[..]).collect();
+    let td = Batch::from_rows(&td_refs);
+    c.bench_function("mlp_gradient_batch32_td_targets", |b| {
+        b.iter(|| {
+            let (loss, _) = net.loss_and_gradient_batch(&xs, &td, &mut scratch);
+            std::hint::black_box(loss)
+        });
+    });
+
     c.bench_function("mlp_forward_batch32_batched", |b| {
         b.iter(|| std::hint::black_box(net.forward_batch(&xs, &mut scratch).rows()));
     });

@@ -438,7 +438,9 @@ impl Mlp {
     /// per-sample loss and the flat gradient, aligned with
     /// [`Mlp::flatten_params`], both living in `scratch`.
     ///
-    /// Bit-exact with [`Mlp::loss_and_gradient`] on the same pairs.
+    /// Bit-exact with [`Mlp::loss_and_gradient`] on the same pairs. The
+    /// output layer's work scales with its entries whose target differs
+    /// from the prediction: one per row for a DQN target.
     ///
     /// # Panics
     ///
@@ -460,29 +462,85 @@ impl Mlp {
         );
         let out_dim = self.output_size() as f64;
         let scale = 1.0 / rows as f64;
+        // Each layer writes its gradient straight into its slice of the
+        // flat vector (weights row-major, then biases), last layer first.
+        scratch.flat.resize(self.param_count(), 0.0);
+        let mut end = scratch.flat.len();
+        let last = self.layers.len() - 1;
+        let layer = &self.layers[last];
+        let in_size = layer.input_size();
 
-        // dL/da at the output, one row per sample, accumulating the loss
-        // in ascending sample order (same order as the per-sample path).
+        // The output layer's loss terms and dz = dL/da ⊙ act′(z), at its
+        // live entries only. Where the target equals the prediction and
+        // z is finite, the loss term is +0 and dz is ±0, and neither can
+        // change a sum that starts at +0.0. Each product such a dz would
+        // add is an exact ±0 too: a finite z is a sum of finite products,
+        // so the input row and the weight row behind it are finite. A DQN
+        // target leaves one live entry per row.
         let mut total_loss = 0.0;
-        scratch.delta.set_shape(rows, self.output_size());
+        scratch.live.clear();
         for s in 0..rows {
-            let prediction = output.row(s);
-            let target = targets.row(s);
-            total_loss += self.loss.mean(prediction, target);
-            for ((d, &p), &y) in scratch
-                .delta
-                .row_mut(s)
-                .iter_mut()
-                .zip(prediction)
-                .zip(target)
-            {
-                *d = self.loss.gradient(p, y) / out_dim;
+            let (prediction, target) = (output.row(s), targets.row(s));
+            let z = scratch.preacts[last].row(s);
+            let mut row_loss = 0.0;
+            let chunks = prediction
+                .chunks(LIVE_SCAN)
+                .zip(target.chunks(LIVE_SCAN))
+                .zip(z.chunks(LIVE_SCAN));
+            for (c, ((pc, yc), zc)) in chunks.enumerate() {
+                let entries = pc.iter().zip(yc).zip(zc).map(|((&p, &y), &z)| (p, y, z));
+                // A branch-free test first: most chunks hold no live entry.
+                if !entries
+                    .clone()
+                    .fold(false, |any, (p, y, z)| any | is_live(p, y, z))
+                {
+                    continue;
+                }
+                for (k, (p, y, z)) in entries.enumerate() {
+                    if is_live(p, y, z) {
+                        row_loss += self.loss.value(p, y);
+                        let d = self.loss.gradient(p, y) / out_dim * layer.activation.derivative(z);
+                        scratch.live.push((s, c * LIVE_SCAN + k, d));
+                    }
+                }
+            }
+            total_loss += row_loss / out_dim;
+        }
+
+        // dW, db and the delta handed down, from the live entries alone.
+        // In (sample, output) order every accumulator adds its terms in
+        // the ascending order of `gemm_tn_scaled_into` (over samples) and
+        // `gemm_nn_into` (over outputs), with the same products.
+        let (gw, gb) =
+            scratch.flat[end - layer.param_count()..end].split_at_mut(layer.weights.len());
+        end -= layer.param_count();
+        gw.fill(0.0);
+        gb.fill(0.0);
+        if last > 0 {
+            scratch.delta.set_shape(rows, in_size);
+        }
+        let weights = layer.weights.as_slice();
+        for &(s, j, d) in &scratch.live {
+            let ds = d * scale;
+            let a = scratch.activations[last].row(s);
+            for (g, &x) in gw[j * in_size..(j + 1) * in_size].iter_mut().zip(a) {
+                *g += ds * x;
+            }
+            gb[j] += ds;
+            if last > 0 {
+                let w = &weights[j * in_size..(j + 1) * in_size];
+                for (o, &wv) in scratch.delta.row_mut(s).iter_mut().zip(w) {
+                    *o += wv * d;
+                }
             }
         }
 
-        for l in (0..self.layers.len()).rev() {
+        for l in (0..last).rev() {
             let layer = &self.layers[l];
             let (out_size, in_size) = (layer.output_size(), layer.input_size());
+            let (gw, gb) =
+                scratch.flat[end - layer.param_count()..end].split_at_mut(layer.weights.len());
+            end -= layer.param_count();
             // dz = dL/da ⊙ act′(z), for the whole batch.
             scratch.dz.set_shape(rows, out_size);
             for ((d, &dl), &z) in scratch
@@ -507,10 +565,9 @@ impl Mlp {
                 scale,
                 scratch.activations[l].as_slice(),
                 in_size,
-                scratch.grad_w[l].as_mut_slice(),
+                gw,
             );
-            let gb = &mut scratch.grad_b[l];
-            gb.iter_mut().for_each(|g| *g = 0.0);
+            gb.fill(0.0);
             for s in 0..rows {
                 for (g, &d) in gb.iter_mut().zip(scratch.dz.row(s)) {
                     *g += d * scale;
@@ -519,13 +576,6 @@ impl Mlp {
             if l > 0 {
                 scratch.dz.matmul_into(&layer.weights, &mut scratch.delta);
             }
-        }
-
-        scratch.flat.clear();
-        scratch.flat.reserve(self.param_count());
-        for (gw, gb) in scratch.grad_w.iter().zip(&scratch.grad_b) {
-            scratch.flat.extend_from_slice(gw.as_slice());
-            scratch.flat.extend_from_slice(gb);
         }
         (total_loss * scale, &scratch.flat)
     }
@@ -569,11 +619,23 @@ impl Mlp {
     }
 }
 
+/// Output entries per branch-free test in [`Mlp::backward_batch`]'s scan
+/// for live entries.
+const LIVE_SCAN: usize = 16;
+
+/// Whether an output entry (prediction `p`, target `y`, pre-activation
+/// `z`) can add anything to the loss or the gradient: it cannot when
+/// `p == y` with `z` finite (see [`Mlp::backward_batch`]). Non-short-
+/// circuiting, so a chunk of tests vectorizes.
+fn is_live(p: f64, y: f64, z: f64) -> bool {
+    (p != y) | !z.is_finite()
+}
+
 /// Reusable buffers for the batched forward/backward path: layer
-/// activations and pre-activations for a whole minibatch, gradient
-/// accumulators, and the flattened gradient/parameter vectors. Create one
-/// per network with [`BatchScratch::for_network`] and reuse it across
-/// training steps — after warm-up no path through
+/// activations and pre-activations for a whole minibatch, the backward
+/// pass's per-layer terms, and the flattened gradient/parameter vectors.
+/// Create one per network with [`BatchScratch::for_network`] and reuse it
+/// across training steps — after warm-up no path through
 /// [`Mlp::train_minibatch`] allocates.
 #[derive(Debug, Clone)]
 pub struct BatchScratch {
@@ -586,8 +648,9 @@ pub struct BatchScratch {
     delta: Batch,
     /// `dL/dz` of the layer currently being backpropagated.
     dz: Batch,
-    grad_w: Vec<Matrix>,
-    grad_b: Vec<Vec<f64>>,
+    /// `(sample, output, dz)` of the output layer's entries that can
+    /// contribute to a gradient or delta product.
+    live: Vec<(usize, usize, f64)>,
     flat: Vec<f64>,
     params: Vec<f64>,
 }
@@ -607,16 +670,7 @@ impl BatchScratch {
                 .collect(),
             delta: Batch::default(),
             dz: Batch::default(),
-            grad_w: net
-                .layers
-                .iter()
-                .map(|l| Matrix::zeros(l.output_size(), l.input_size()))
-                .collect(),
-            grad_b: net
-                .layers
-                .iter()
-                .map(|l| vec![0.0; l.output_size()])
-                .collect(),
+            live: Vec::new(),
             flat: Vec::new(),
             params: Vec::new(),
         }

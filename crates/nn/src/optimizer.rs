@@ -158,9 +158,14 @@ impl Optimizer for Adam {
             params.len(),
             "optimizer reuse across networks"
         );
-        self.step += 1;
-        let b1t = 1.0 - self.beta1.powi(self.step as i32);
-        let b2t = 1.0 - self.beta2.powi(self.step as i32);
+        // Saturating, so a restored count of `u64::MAX` cannot wrap to 0,
+        // where 1 − β⁰ = 0 would divide by zero.
+        self.step = self.step.saturating_add(1);
+        // A step count past `i32::MAX` saturates the exponent, where βᵗ
+        // has long underflowed to 0.
+        let t = i32::try_from(self.step).unwrap_or(i32::MAX);
+        let b1t = 1.0 - self.beta1.powi(t);
+        let b2t = 1.0 - self.beta2.powi(t);
         for i in 0..params.len() {
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grads[i];
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grads[i] * grads[i];
@@ -235,6 +240,70 @@ mod tests {
         original.step(&mut x, &g);
         restored.step(&mut x2, &g);
         assert_eq!(x, x2);
+    }
+
+    /// Textbook Adam at step `t`: both bias corrections always divide.
+    fn reference_step(x: &mut [f64], g: &[f64], m: &mut [f64], v: &mut [f64], t: i32) {
+        let (lr, beta1, beta2, eps) = (1e-3, 0.9f64, 0.999f64, 1e-8);
+        let (b1t, b2t) = (1.0 - beta1.powi(t), 1.0 - beta2.powi(t));
+        for i in 0..x.len() {
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
+            x[i] -= lr * (m[i] / b1t) / ((v[i] / b2t).sqrt() + eps);
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn adam_is_bit_exact_with_the_always_dividing_reference() {
+        // 1 − β₁ᵗ rounds to 1.0 from step 356 on. Coordinate 1's gradient
+        // stops at step 20, so its first moment decays by 0.9 a step into
+        // the subnormal range after about 6 700 steps, where rounding
+        // holds it at 5·2⁻¹⁰⁷⁴ for good; coordinate 2's gradient is
+        // always zero.
+        let mut adam = Adam::with_learning_rate(1e-3);
+        let mut x = vec![0.4, -0.3, 0.2, 0.1, -0.6];
+        let (mut rx, mut rm, mut rv) = (x.clone(), vec![0.0; 5], vec![0.0; 5]);
+        let mut saw_subnormal = false;
+        for t in 1..=7_500 {
+            let tf = f64::from(t);
+            let g = [
+                (tf * 0.37).sin() * 0.1,
+                if t <= 20 { 0.5 } else { 0.0 },
+                0.0,
+                if t <= 400 { (tf * 0.11).cos() } else { 0.0 },
+                2.0 * (x[4] - 1.0),
+            ];
+            adam.step(&mut x, &g);
+            reference_step(&mut rx, &g, &mut rm, &mut rv, t);
+            assert_eq!(bits(&x), bits(&rx), "parameters diverged at step {t}");
+            assert_eq!(bits(adam.first_moment()), bits(&rm), "m at step {t}");
+            assert_eq!(bits(adam.second_moment()), bits(&rv), "v at step {t}");
+            saw_subnormal |= adam.first_moment()[1].is_subnormal();
+        }
+        assert!(saw_subnormal, "coordinate 1's moment never went subnormal");
+        assert_eq!(1.0 - 0.9f64.powi(356), 1.0);
+    }
+
+    #[test]
+    fn step_count_past_i32_max_saturates() {
+        // A checkpointed count of 2³¹ must not wrap to a negative
+        // exponent: 1 − βᵗ would be −∞ and the weights would freeze. Nor
+        // may `u64::MAX` wrap the count to 0, where 1 − β⁰ = 0 would turn
+        // the weights into Inf or NaN (or panic on overflow).
+        let step_from = |count: u64| {
+            let mut adam = Adam::restore(1e-3, count, vec![0.01, -0.02], vec![1e-4, 4e-4]);
+            let mut x = [0.5, -0.5];
+            adam.step(&mut x, &[0.1, -0.2]);
+            x
+        };
+        let limit = step_from(i32::MAX as u64 - 1);
+        assert_eq!(step_from(1 << 31), limit);
+        assert_eq!(step_from(u64::MAX), limit);
+        assert_ne!(limit, [0.5, -0.5], "the update must move the weights");
     }
 
     #[test]

@@ -183,16 +183,22 @@ proptest! {
 
     /// Tentpole invariant: the batched loss/gradient equals the
     /// per-sample path bit-for-bit — same loss, same flat gradient — so
-    /// swapping the training path cannot perturb a seeded run.
+    /// swapping the training path cannot perturb a seeded run. Dense
+    /// targets exercise every output entry; DQN-shaped ones (one column
+    /// per row differing from the prediction, or none) exercise the
+    /// output layer's skipped entries, also behind NaN and ±Inf inputs.
+    /// Output widths up to 48 take the live-entry scan through several
+    /// 16-wide chunks and a partial last one.
     #[test]
     fn batched_gradient_equals_per_sample(
         seed in any::<u64>(),
         input in 1usize..8,
         h1 in 1usize..10,
         h2 in 1usize..10,
-        out in 1usize..8,
+        out in 1usize..=48,
         rows in 1usize..17,
         huber in any::<bool>(),
+        shape in (0u8..3).prop_map(Targets::from),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let builder = MlpBuilder::new(input).hidden(h1).hidden(h2);
@@ -203,11 +209,29 @@ proptest! {
         };
         let net = builder.output(out).build(&mut rng);
 
-        let xs: Vec<Vec<f64>> = (0..rows)
+        let mut xs: Vec<Vec<f64>> = (0..rows)
             .map(|_| (0..input).map(|_| rng.gen_range(-1.5..1.5)).collect())
             .collect();
-        let ts: Vec<Vec<f64>> = (0..rows)
-            .map(|_| (0..out).map(|_| rng.gen_range(-1.5..1.5)).collect())
+        if shape == Targets::TdNonFinite {
+            for x in &mut xs {
+                if rng.gen_bool(0.5) {
+                    let k = rng.gen_range(0..input);
+                    x[k] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                }
+            }
+        }
+        let ts: Vec<Vec<f64>> = xs
+            .iter()
+            .map(|x| match shape {
+                Targets::Dense => (0..out).map(|_| rng.gen_range(-1.5..1.5)).collect(),
+                Targets::Td | Targets::TdNonFinite => {
+                    let mut t = net.forward(x);
+                    if rng.gen_bool(0.75) {
+                        t[rng.gen_range(0..out)] = rng.gen_range(-1.5..1.5);
+                    }
+                    t
+                }
+            })
             .collect();
         let pairs: Vec<(&[f64], &[f64])> =
             xs.iter().zip(&ts).map(|(x, t)| (&x[..], &t[..])).collect();
@@ -219,7 +243,33 @@ proptest! {
         let t = Batch::from_rows(&t_refs);
         let mut scratch = BatchScratch::for_network(&net);
         let (loss, grad) = net.loss_and_gradient_batch(&x, &t, &mut scratch);
-        prop_assert_eq!(loss, ref_loss);
-        prop_assert_eq!(grad, &ref_grad[..]);
+        prop_assert!(same_bits(loss, ref_loss), "loss {} vs {}", loss, ref_loss);
+        prop_assert_eq!(grad.len(), ref_grad.len());
+        for (i, (&g, &r)) in grad.iter().zip(&ref_grad).enumerate() {
+            prop_assert!(same_bits(g, r), "{:?} gradient[{}]: {} vs {}", shape, i, g, r);
+        }
     }
+}
+
+/// The target batch handed to the gradient.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Targets {
+    /// Every entry drawn independently of the prediction.
+    Dense,
+    /// The DQN loss's shape: the prediction with one column per row
+    /// replaced (some rows keep the prediction unchanged).
+    Td,
+    /// `Td` over inputs of which some rows hold NaN or ±Inf.
+    TdNonFinite,
+}
+
+impl From<u8> for Targets {
+    fn from(v: u8) -> Self {
+        [Targets::Dense, Targets::Td, Targets::TdNonFinite][usize::from(v)]
+    }
+}
+
+/// Equal bits, or both NaN (whose payloads need not agree).
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
