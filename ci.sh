@@ -81,6 +81,16 @@ bash benchmark/run.sh --workload repro_sweep --quick --trace 1 --out "$ci_tmp/be
   || { cat "$ci_tmp/repro_sweep-trace.err" "$ci_tmp/repro_sweep-trace.out"; echo "FAIL: benchmark traced repro_sweep"; exit 1; }
 grep -E '^(dqn\.train_step_coverage|runner\.coverage) ' "$ci_tmp/repro_sweep-trace.out" | sed 's/^/  /'
 
+# Traced quick run of fleet_zoo: the shared-policy slot ledger (adversary
+# jam, env resolve, the defender's 1-row forward and feedback) must sum to
+# within 10% of the slot loop. A faster decision leaves the untraced
+# remainder of a slot a larger share, so runner.coverage is gated here too.
+echo "== benchmark traced quick run (fleet_zoo --trace 1, coverage gate) =="
+bash benchmark/run.sh --workload fleet_zoo --quick --trace 1 --out "$ci_tmp/benchmark-trace" \
+  > "$ci_tmp/fleet_zoo-trace.out" 2> "$ci_tmp/fleet_zoo-trace.err" \
+  || { cat "$ci_tmp/fleet_zoo-trace.err" "$ci_tmp/fleet_zoo-trace.out"; echo "FAIL: benchmark traced fleet_zoo"; exit 1; }
+grep -E '^runner\.coverage ' "$ci_tmp/fleet_zoo-trace.out" | sed 's/^/  /'
+
 # League smoke: run the self-play league + adversary cross-table in
 # quick mode. The binary asserts the cross-table's goodput vector is
 # bit-exact across 1/2/8 fleet workers before recording any row; this

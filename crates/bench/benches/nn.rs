@@ -65,6 +65,13 @@ fn bench_nn(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(net.forward_batch(&xs, &mut scratch).rows()));
     });
 
+    // One observation, as every per-slot decision runs it: the row
+    // never fills a 4-row tile.
+    let x1 = Batch::from_rows(&[&x[..]]);
+    c.bench_function("mlp_forward_row1_batched", |b| {
+        b.iter(|| std::hint::black_box(net.forward_batch(&x1, &mut scratch).rows()));
+    });
+
     let mut rnn = Rnn::new(4, 16, 4, &mut rng);
     let xs: Vec<Vec<f64>> = (0..32)
         .map(|t| {

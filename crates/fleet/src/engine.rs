@@ -114,15 +114,14 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if `progress` was captured from a different spec
-    /// (fingerprint mismatch) — resuming across specs would silently mix
-    /// incomparable episodes.
+    /// Panics if `progress` fails [`CampaignProgress::check`]: captured
+    /// from a different spec (fingerprint mismatch), or naming an
+    /// episode twice, outside the grid or with another seed. Resuming
+    /// from it would silently mix incomparable or repeated episodes.
     pub fn resume(&self, spec: &CampaignSpec, progress: &CampaignProgress) -> CampaignResult {
-        assert_eq!(
-            progress.fingerprint,
-            spec.fingerprint(),
-            "progress checkpoint does not belong to this campaign spec"
-        );
+        if let Err(why) = progress.check(spec) {
+            panic!("progress checkpoint does not belong to this campaign spec: {why}");
+        }
         let done: std::collections::HashSet<u64> =
             progress.outcomes.iter().map(|o| o.episode).collect();
         let remaining: Vec<u64> = (0..spec.episodes() as u64)
@@ -347,6 +346,15 @@ mod tests {
         let mut other = baseline_spec(CampaignPolicy::RandomFh);
         other.base_seed ^= 1;
         Fleet::new().resume(&other, &progress);
+    }
+
+    #[test]
+    #[should_panic(expected = "appears more than once")]
+    fn resume_rejects_a_repeated_episode() {
+        let spec = baseline_spec(CampaignPolicy::RandomFh);
+        let mut progress = Fleet::new().run_partial(&spec, 2);
+        progress.outcomes.push(progress.outcomes[0]);
+        Fleet::new().resume(&spec, &progress);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Resumable campaign progress: the checkpointed prefix of a campaign.
 
 use crate::engine::EpisodeOutcome;
+use crate::spec::CampaignSpec;
 use ctjam_core::metrics::Metrics;
 use ctjam_dqn::checkpoint::{self, CheckpointError};
 use ctjam_telemetry::{RunHealth, ShardSink};
@@ -26,6 +27,39 @@ pub struct CampaignProgress {
 }
 
 impl CampaignProgress {
+    /// Checks that this progress can resume `spec`: it carries the
+    /// spec's fingerprint, and every outcome names an episode of the
+    /// spec's grid, at most once, with that episode's seed
+    /// ([`CampaignSpec::episode_seed`]). `Err` says what is wrong.
+    pub fn check(&self, spec: &CampaignSpec) -> Result<(), String> {
+        if self.fingerprint != spec.fingerprint() {
+            return Err(format!(
+                "checkpointed spec fingerprint {:016x} != {:016x}",
+                self.fingerprint,
+                spec.fingerprint()
+            ));
+        }
+        let mut seen = vec![false; spec.episodes()];
+        for o in &self.outcomes {
+            let e = o.episode;
+            let i = usize::try_from(e)
+                .ok()
+                .filter(|&i| i < seen.len())
+                .ok_or_else(|| format!("episode {e} is outside the {}-episode grid", seen.len()))?;
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(format!("episode {e} appears more than once"));
+            }
+            let want = spec.episode_seed(i);
+            if o.seed != want {
+                return Err(format!(
+                    "episode {e} carries seed {:016x}, not {want:016x}",
+                    o.seed
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Appends the raw payload encoding (no container framing) to
     /// `payload` — the inverse of [`CampaignProgress::decode_payload`].
     /// Exposed so higher layers (the scenario campaign runner) can
@@ -150,6 +184,32 @@ mod tests {
             loaded.telemetry.to_json().to_string_compact(),
             progress.telemetry.to_json().to_string_compact()
         );
+    }
+
+    #[test]
+    fn check_rejects_foreign_repeated_out_of_grid_and_reseeded_episodes() {
+        let spec = CampaignSpec {
+            name: "progress-check".into(),
+            points: vec![EnvParams::default()],
+            seeds: vec![5, 6, 7],
+            policy: CampaignPolicy::RandomFh,
+            slots: 40,
+            kernel: false,
+            base_seed: 4242,
+            faults: None,
+        };
+        let progress = Fleet::new().threads(1).run_partial(&spec, 2);
+        assert_eq!(progress.check(&spec), Ok(()));
+        let reason = |edit: &dyn Fn(&mut CampaignProgress)| {
+            let mut bad = progress.clone();
+            edit(&mut bad);
+            bad.check(&spec).expect_err("tampered progress must fail")
+        };
+        assert!(reason(&|p| p.fingerprint ^= 1).contains("fingerprint"));
+        assert!(reason(&|p| p.outcomes.push(p.outcomes[1])).contains("more than once"));
+        assert!(reason(&|p| p.outcomes[0].episode = 3).contains("outside"));
+        assert!(reason(&|p| p.outcomes[0].episode = u64::MAX).contains("outside"));
+        assert!(reason(&|p| p.outcomes[1].seed ^= 1).contains("seed"));
     }
 
     #[test]

@@ -259,26 +259,12 @@ pub fn gemm_nt_into(
     }
 }
 
-/// Micro-kernel tile of [`gemm_nn_into`]: an `NN_MR × NN_NR` block of
-/// output elements accumulates entirely in registers across the whole
-/// `r` loop, so `out` is stored once instead of once per `r` step and
-/// every load of `b` feeds `NN_MR` rows. Tiling only regroups
-/// *independent* output elements; each one still folds over `r` in
-/// ascending order from `0.0`, so the result is bit-identical to the
-/// naive loop.
-const NN_MR: usize = 4;
-/// Primary register-tile width (output columns per micro-kernel pass).
-const NN_NR: usize = 16;
-/// Narrow register tile for column remainders of the primary tile.
-const NN_NR2: usize = 8;
-
 /// `out[s][c] = Σ_r a[s][r]·b[r][c]` for `a: a_rows×a_cols` and
 /// `b: a_cols×b_cols`, both row-major.
 ///
-/// Accumulates over `r` in ascending order into independent per-column
-/// accumulators — bit-identical to `mul_vec_transposed` row by row, and
-/// vectorizable because the inner column loop carries no dependency.
-/// `a_cols = 0` writes zeros.
+/// Every output element folds over `r` in ascending order from `0.0`,
+/// so each row is bit-identical to `mul_vec_transposed`; the register
+/// tiles only interleave independent sums. `a_cols = 0` writes zeros.
 pub fn gemm_nn_into(
     a: &[f64],
     a_rows: usize,
@@ -290,70 +276,7 @@ pub fn gemm_nn_into(
     debug_assert_eq!(a.len(), a_rows * a_cols);
     debug_assert_eq!(b.len(), a_cols * b_cols);
     debug_assert_eq!(out.len(), a_rows * b_cols);
-    let mut s = 0;
-    while s + NN_MR <= a_rows {
-        let mut c = 0;
-        while c + NN_NR <= b_cols {
-            let mut acc = [[0.0f64; NN_NR]; NN_MR];
-            for r in 0..a_cols {
-                let br = &b[r * b_cols + c..r * b_cols + c + NN_NR];
-                for (m, am) in acc.iter_mut().enumerate() {
-                    let av = a[(s + m) * a_cols + r];
-                    for (o, &w) in am.iter_mut().zip(br) {
-                        *o += w * av;
-                    }
-                }
-            }
-            for (m, am) in acc.iter().enumerate() {
-                out[(s + m) * b_cols + c..(s + m) * b_cols + c + NN_NR].copy_from_slice(am);
-            }
-            c += NN_NR;
-        }
-        while c + NN_NR2 <= b_cols {
-            let mut acc = [[0.0f64; NN_NR2]; NN_MR];
-            for r in 0..a_cols {
-                let br = &b[r * b_cols + c..r * b_cols + c + NN_NR2];
-                for (m, am) in acc.iter_mut().enumerate() {
-                    let av = a[(s + m) * a_cols + r];
-                    for (o, &w) in am.iter_mut().zip(br) {
-                        *o += w * av;
-                    }
-                }
-            }
-            for (m, am) in acc.iter().enumerate() {
-                out[(s + m) * b_cols + c..(s + m) * b_cols + c + NN_NR2].copy_from_slice(am);
-            }
-            c += NN_NR2;
-        }
-        // Remaining columns: one register accumulator per output element,
-        // still folding ascending `r`.
-        while c < b_cols {
-            let mut acc = [0.0f64; NN_MR];
-            for r in 0..a_cols {
-                let w = b[r * b_cols + c];
-                for (m, o) in acc.iter_mut().enumerate() {
-                    *o += w * a[(s + m) * a_cols + r];
-                }
-            }
-            for (m, &o) in acc.iter().enumerate() {
-                out[(s + m) * b_cols + c] = o;
-            }
-            c += 1;
-        }
-        s += NN_MR;
-    }
-    // Remaining rows: the plain single-row kernel.
-    for s in s..a_rows {
-        let or = &mut out[s * b_cols..(s + 1) * b_cols];
-        or.fill(0.0);
-        let ar = &a[s * a_cols..(s + 1) * a_cols];
-        for (r, &av) in ar.iter().enumerate() {
-            let br = &b[r * b_cols..(r + 1) * b_cols];
-            for (o, &w) in or.iter_mut().zip(br) {
-                *o += w * av;
-            }
-        }
-    }
+    gemm(a_rows, a_cols, |s, r| a[s * a_cols + r], b, b_cols, out);
 }
 
 /// `out[j][i] = Σ_s (a[s][j]·scale)·b[s][i]` for `a: rows×m` and
@@ -377,68 +300,89 @@ pub fn gemm_tn_scaled_into(
     debug_assert_eq!(a.len(), rows * m);
     debug_assert_eq!(b.len(), rows * n);
     debug_assert_eq!(out.len(), m * n);
-    let mut j = 0;
-    while j + NN_MR <= m {
-        let mut i = 0;
-        while i + NN_NR <= n {
-            let mut acc = [[0.0f64; NN_NR]; NN_MR];
-            for s in 0..rows {
-                let avs = &a[s * m + j..s * m + j + NN_MR];
-                let bvs = &b[s * n + i..s * n + i + NN_NR];
-                for (mm, am) in acc.iter_mut().enumerate() {
-                    let av = avs[mm] * scale;
-                    for (o, &w) in am.iter_mut().zip(bvs) {
-                        *o += av * w;
-                    }
-                }
-            }
-            for (mm, am) in acc.iter().enumerate() {
-                out[(j + mm) * n + i..(j + mm) * n + i + NN_NR].copy_from_slice(am);
-            }
-            i += NN_NR;
-        }
-        while i + NN_NR2 <= n {
-            let mut acc = [[0.0f64; NN_NR2]; NN_MR];
-            for s in 0..rows {
-                let avs = &a[s * m + j..s * m + j + NN_MR];
-                let bvs = &b[s * n + i..s * n + i + NN_NR2];
-                for (mm, am) in acc.iter_mut().enumerate() {
-                    let av = avs[mm] * scale;
-                    for (o, &w) in am.iter_mut().zip(bvs) {
-                        *o += av * w;
-                    }
-                }
-            }
-            for (mm, am) in acc.iter().enumerate() {
-                out[(j + mm) * n + i..(j + mm) * n + i + NN_NR2].copy_from_slice(am);
-            }
-            i += NN_NR2;
-        }
-        while i < n {
-            let mut acc = [0.0f64; NN_MR];
-            for s in 0..rows {
-                let w = b[s * n + i];
-                for (mm, o) in acc.iter_mut().enumerate() {
-                    *o += (a[s * m + j + mm] * scale) * w;
-                }
-            }
-            for (mm, &o) in acc.iter().enumerate() {
-                out[(j + mm) * n + i] = o;
-            }
-            i += 1;
-        }
-        j += NN_MR;
+    gemm(m, rows, |j, s| a[s * m + j] * scale, b, n, out);
+}
+
+/// Output rows per register tile in a full row block.
+const MR: usize = 4;
+
+/// `out[i][c] = Σ_r a(i, r)·b[r][c]` for `i < rows`, `r < red` and
+/// `c < n`, with `b: red×n` and `out: rows×n` row-major: the one kernel
+/// behind [`gemm_nn_into`] and [`gemm_tn_scaled_into`], which differ
+/// only in how `a(i, r)` reads the left operand.
+///
+/// Full blocks of [`MR`] rows run `MR×16`, `MR×8` and `MR×1` register
+/// tiles; each leftover row runs `1×32`, `1×8` and `1×1` tiles, so a
+/// single-row product (one decision's forward) also keeps its sums in
+/// registers and stores each output once.
+fn gemm(
+    rows: usize,
+    red: usize,
+    a: impl Fn(usize, usize) -> f64 + Copy,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    let mut i = 0;
+    while i + MR <= rows {
+        let block = &mut out[i * n..(i + MR) * n];
+        tiles::<MR, 16, 8>(red, move |m, r| a(i + m, r), b, n, block);
+        i += MR;
     }
-    for j in j..m {
-        let or = &mut out[j * n..(j + 1) * n];
-        or.fill(0.0);
-        for s in 0..rows {
-            let av = a[s * m + j] * scale;
-            let bvs = &b[s * n..(s + 1) * n];
-            for (o, &w) in or.iter_mut().zip(bvs) {
-                *o += av * w;
+    for i in i..rows {
+        let row = &mut out[i * n..(i + 1) * n];
+        tiles::<1, 32, 8>(red, move |_, r| a(i, r), b, n, row);
+    }
+}
+
+/// Covers the `M`-row block `out` left to right with `M×N` tiles, then
+/// `M×N2` tiles, then single columns.
+fn tiles<const M: usize, const N: usize, const N2: usize>(
+    red: usize,
+    a: impl Fn(usize, usize) -> f64 + Copy,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    let mut c = 0;
+    while c + N <= n {
+        tile::<M, N>(red, a, b, n, c, out);
+        c += N;
+    }
+    while c + N2 <= n {
+        tile::<M, N2>(red, a, b, n, c, out);
+        c += N2;
+    }
+    for c in c..n {
+        tile::<M, 1>(red, a, b, n, c, out);
+    }
+}
+
+/// One `M×N` register tile: columns `c..c + N` of the `M`-row block
+/// `out`. Each of its sums starts from `0.0`, adds `b[r][c]·a(m, r)`
+/// over `r` in ascending order with a separate multiply and add
+/// rounding, and is stored once. Tiling only interleaves independent
+/// sums, so every tile shape gives the naive loop's bits.
+fn tile<const M: usize, const N: usize>(
+    red: usize,
+    a: impl Fn(usize, usize) -> f64,
+    b: &[f64],
+    n: usize,
+    c: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [[0.0f64; N]; M];
+    for r in 0..red {
+        let br = &b[r * n + c..r * n + c + N];
+        for (m, am) in acc.iter_mut().enumerate() {
+            let av = a(m, r);
+            for (o, &w) in am.iter_mut().zip(br) {
+                *o += w * av;
             }
         }
+    }
+    for (m, am) in acc.iter().enumerate() {
+        out[m * n + c..m * n + c + N].copy_from_slice(am);
     }
 }
 

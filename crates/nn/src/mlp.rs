@@ -834,6 +834,38 @@ mod tests {
     }
 
     #[test]
+    fn paper_shape_forward_batch_is_bit_exact_for_1_to_9_rows() {
+        // Up to 3 rows run only the single-row tiles, 4 to 9 rows one or
+        // two 4-row blocks and then single rows. Widths 48, 42 and 160
+        // reach the 32-, 8- and 1-wide single-row tiles.
+        let net = MlpBuilder::new(24)
+            .hidden(48)
+            .hidden(42)
+            .output(160)
+            .build(&mut rng());
+        let mut scratch = BatchScratch::for_network(&net);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows in 1..=9 {
+            let xs: Vec<Vec<f64>> = (0..rows)
+                .map(|s| {
+                    (0..24)
+                        .map(|k| ((s * 24 + k) as f64 * 0.29).sin())
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[f64]> = xs.iter().map(|r| &r[..]).collect();
+            let out = net.forward_batch(&Batch::from_rows(&refs), &mut scratch);
+            for (s, x) in xs.iter().enumerate() {
+                assert_eq!(
+                    bits(out.row(s)),
+                    bits(&net.forward(x)),
+                    "{rows} rows: row {s}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn batched_gradient_is_bit_exact_with_per_sample() {
         let net = MlpBuilder::new(4)
             .hidden(6)

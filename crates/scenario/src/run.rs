@@ -300,14 +300,9 @@ pub fn run_campaign(
             .map(|(_, p)| p.clone());
         let result = match saved {
             Some(saved) => {
-                if saved.fingerprint != spec.fingerprint() {
-                    return Err(ScenarioError::Checkpoint(format!(
-                        "policy {policy:?}: checkpointed spec fingerprint \
-                         {:016x} != compiled {:016x}",
-                        saved.fingerprint,
-                        spec.fingerprint()
-                    )));
-                }
+                saved.check(&spec).map_err(|why| {
+                    ScenarioError::Checkpoint(format!("policy {policy:?}: {why}"))
+                })?;
                 fleet.resume(&spec, &saved)
             }
             None => {
@@ -412,6 +407,33 @@ mod tests {
                 b.result.telemetry.to_json().to_string_compact()
             );
         }
+    }
+
+    #[test]
+    fn resume_rejects_progress_that_repeats_an_episode() {
+        let s = Scenario::parse_str(campaign_text()).unwrap();
+        let ScenarioKind::Campaign(c) = &s.kind else {
+            panic!("wrong kind")
+        };
+        let fp = s.fingerprint(false);
+        let path = ckpt("repeated");
+        std::fs::remove_file(&path).ok();
+        let options = CampaignOptions {
+            threads: Some(1),
+            checkpoint: Some(path.clone()),
+            resume: true,
+        };
+        run_campaign(&s.name, c, fp, &options).unwrap();
+        let mut saved = ScenarioProgress::load(&path).unwrap();
+        let outcomes = &mut saved.entries[0].1.outcomes;
+        outcomes.push(outcomes[0]);
+        saved.save(&path).unwrap();
+        let err = run_campaign(&s.name, c, fp, &options).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(&err, ScenarioError::Checkpoint(why) if why.contains("more than once")),
+            "{err:?}"
+        );
     }
 
     #[test]
