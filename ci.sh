@@ -182,6 +182,29 @@ print(f"  {out}: ok ({len(manifests)} manifests, {len(svgs)} SVG plots, "
       f"{len(ckpts)} checkpoint(s))")
 PYEOF
 
+# Results drift gate: the seven figure bins that finish in seconds at
+# their default budgets must print exactly the committed
+# results/<bin>.txt (run_all.sh regenerates those files). Every CTJAM_*
+# variable is unset so the bins run their default budgets, and the run
+# manifests land in $ci_tmp, which is why the "(manifest ...)" path line
+# is the one line left out of the comparison. fig06_07_08_sweeps and
+# ablation_design_choices take minutes and are regenerated by
+# run_all.sh only.
+echo "== results drift gate (seven figure bins vs results/<bin>.txt) =="
+cargo build --release -q -p ctjam-bench --bins
+(
+  for var in $(compgen -e | grep '^CTJAM_' || true); do unset "$var"; done
+  export CTJAM_CSV_DIR="$ci_tmp/results"
+  for bin in fig01_emulation_error fig02_jamming_effect fig09_time_consumption \
+             mdp_threshold_analysis fig10_goodput_utilization fig11_scheme_comparison \
+             adaptive_jammer; do
+    "target/release/$bin" > "$ci_tmp/$bin.txt" || { echo "FAIL: $bin exited non-zero"; exit 1; }
+    diff <(grep -v '^(manifest ' "results/$bin.txt") <(grep -v '^(manifest ' "$ci_tmp/$bin.txt") \
+      || { echo "FAIL: $bin stdout differs from results/$bin.txt"; exit 1; }
+    echo "  $bin: matches results/$bin.txt"
+  done
+)
+
 # Archive any run manifests produced by figure binaries so CI artifacts
 # keep the provenance (seed, config hash, git describe) of every table.
 if compgen -G "results/*.manifest.json" > /dev/null; then

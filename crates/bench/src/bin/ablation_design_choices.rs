@@ -17,9 +17,9 @@
 use ctjam_bench::{
     banner, env_usize, finish_manifest, pct, start_manifest, table_header, table_row,
 };
+use ctjam_core::adversary::JammerMode;
 use ctjam_core::defender::{DqnDefender, NoDefense, PassiveFh};
 use ctjam_core::env::EnvParams;
-use ctjam_core::jammer::JammerMode;
 use ctjam_core::runner::RunBuilder;
 use ctjam_dqn::config::DqnConfig;
 use rand::rngs::StdRng;

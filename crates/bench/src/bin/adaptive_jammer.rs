@@ -18,9 +18,10 @@
 use ctjam_bench::{
     banner, env_usize, finish_manifest, pct, start_manifest, table_header, table_row,
 };
-use ctjam_core::adaptive::{AdaptiveEnv, PredictorKind};
+use ctjam_core::adaptive::PredictorKind;
+use ctjam_core::adversary::AdversaryConfig;
 use ctjam_core::defender::{Defender, DqnDefender, PassiveFh, RandomFh};
-use ctjam_core::env::EnvParams;
+use ctjam_core::env::{CompetitionEnv, EnvParams};
 use ctjam_core::runner::RunBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,6 +54,10 @@ fn main() {
         PredictorKind::Markov,
         PredictorKind::Rnn,
     ] {
+        let adaptive = EnvParams {
+            adversary: AdversaryConfig::adaptive(kind),
+            ..params.clone()
+        };
         let mut softmax_dqn = dqn.clone();
         softmax_dqn.set_temperature(Some(8.0));
         let defenses: Vec<(&str, Box<dyn Defender>)> = vec![
@@ -63,14 +68,14 @@ fn main() {
         ];
         for (name, mut defender) in defenses {
             let mut r = StdRng::seed_from_u64(1000 + kind as u64);
-            let mut env = AdaptiveEnv::new(params.clone(), kind, &mut r);
+            let mut env = CompetitionEnv::new(adaptive.clone(), &mut r);
             let report =
-                RunBuilder::new(&params).run_in(&mut env, defender.as_mut(), eval_slots, &mut r);
+                RunBuilder::new(&adaptive).run_in(&mut env, defender.as_mut(), eval_slots, &mut r);
             table_row(&[
                 name.to_string(),
                 format!("{kind:?}"),
                 pct(report.metrics.success_rate()),
-                pct(env.jammer().hit_rate()),
+                pct(env.adversary_probe().hit_rate()),
             ]);
         }
     }

@@ -9,8 +9,8 @@
 //! numbers.
 //!
 //! Budget knobs: `CTJAM_TRAIN_SLOTS` (default 12 000), `CTJAM_EVAL_SLOTS`
-//! (default 20 000). The full run is ~70 DQN trainings; expect ~10 min at
-//! defaults on one core.
+//! (default 20 000). The full run is 54 DQN trainings; expect about 75 s
+//! at defaults on 2 cores.
 
 use ctjam_bench::{
     banner, env_usize, finish_manifest, load_scenario, maybe_write_csv, pct, results_dir,

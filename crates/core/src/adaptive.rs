@@ -16,16 +16,21 @@
 //! * [`PredictorKind::Rnn`] — an online-trained Elman RNN
 //!   ([`ctjam_nn::rnn`]), capturing longer temporal patterns.
 //!
+//! Environments get it like every other adversary, from
+//! [`AdversaryConfig::adaptive`] (plus [`AdversaryConfig::eavesdrop`] for
+//! a jammer that reads plaintext announcements) through
+//! [`AdversaryConfig::build`]; its hit rate is
+//! [`crate::env::CompetitionEnv::adversary_probe`]'s.
+//!
 //! The headline lesson this module surfaces: a *deterministic* hopping
 //! policy (however clever) is predictable and collapses against this
 //! adversary, while randomized hopping bounds the jammer at chance level
 //! — see the `adaptive_jammer` bench.
 
 use crate::adversary::{
-    pick_power, Adversary, AdversaryConfig, AdversaryProbe, ChannelBlock, JamAction, SlotSense,
+    pick_power, Adversary, AdversaryConfig, AdversaryProbe, ChannelBlock, JamAction, JammerMode,
+    SlotSense,
 };
-use crate::env::{Decision, EnvParams, Environment, Outcome, SlotResult};
-use crate::jammer::JammerMode;
 use ctjam_nn::optimizer::Adam;
 use ctjam_nn::rnn::Rnn;
 use rand::Rng;
@@ -173,16 +178,19 @@ pub struct AdaptiveJammer {
 }
 
 impl AdaptiveJammer {
-    /// Creates an adaptive jammer over the same channel plan as the
-    /// adversary front end in `params`.
-    pub fn new<R: Rng + ?Sized>(params: &EnvParams, kind: PredictorKind, rng: &mut R) -> Self {
-        Self::from_config(&params.adversary, kind, rng)
-    }
-
-    /// Creates an adaptive jammer on `config`'s front end.
-    pub fn from_config<R: Rng + ?Sized>(
+    /// Creates an adaptive jammer with the `kind` predictor on `config`'s
+    /// front end, drawing the predictor's initial weights from `rng`.
+    ///
+    /// With `eavesdrop` the jammer reads the hub's plaintext FH/PC
+    /// announcements instead of predicting. §IV.A.2 has the hub announce
+    /// next-slot FH/PC info to peripherals in advance, noting it "can be
+    /// encrypted to prevent eavesdropping"; this mode quantifies why.
+    /// Encrypted announcements ([`ctjam_net::crypto`]) are opaque, which
+    /// leaves the jammer its predictor (`eavesdrop = false`).
+    pub fn new<R: Rng + ?Sized>(
         config: &AdversaryConfig,
         kind: PredictorKind,
+        eavesdrop: bool,
         rng: &mut R,
     ) -> Self {
         let blocks = config.sweep_cycle();
@@ -196,68 +204,7 @@ impl AdaptiveJammer {
             history_cap: 32,
             hits: 0,
             shots: 0,
-            eavesdropping: false,
-        }
-    }
-
-    /// Grants (or revokes) plaintext-announcement eavesdropping.
-    pub fn set_eavesdropping(&mut self, on: bool) {
-        self.eavesdropping = on;
-    }
-
-    /// Fraction of slots where the predicted block contained the victim.
-    pub fn hit_rate(&self) -> f64 {
-        if self.shots == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.shots as f64
-        }
-    }
-
-    /// Predicts and commits this slot's attack, *before* seeing where the
-    /// victim goes.
-    pub fn aim<R: Rng + ?Sized>(&mut self, rng: &mut R) -> JamAction {
-        let block = self
-            .predictor
-            .predict(&self.history, self.blocks)
-            .min(self.blocks - 1);
-        let power = match self.mode {
-            JammerMode::MaxPower => self
-                .powers
-                .iter()
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max),
-            JammerMode::RandomPower => self.powers[rng.gen_range(0..self.powers.len())],
-        };
-        JamAction {
-            block: ChannelBlock::of_block_index(block, self.jam_width),
-            power,
-            locked: true,
-        }
-    }
-
-    /// Senses the victim's actual block this slot (wideband energy
-    /// detection) and updates the predictor.
-    pub fn sense(&mut self, victim_channel: usize, aimed: &JamAction) {
-        self.sense_with_decoy(victim_channel, None, aimed);
-    }
-
-    /// [`AdaptiveJammer::sense`] in the presence of a decoy: the hit
-    /// counter still scores against the real victim, but the predictor
-    /// learns from what the wideband detector heard loudest — the
-    /// decoy — so bait pollutes the learned traffic pattern.
-    fn sense_with_decoy(&mut self, victim_channel: usize, decoy: Option<usize>, aimed: &JamAction) {
-        let victim_block = victim_channel / self.jam_width;
-        let sensed_block = decoy.unwrap_or(victim_channel) / self.jam_width;
-        self.shots += 1;
-        if aimed.block.index() == victim_block {
-            self.hits += 1;
-        }
-        self.predictor
-            .observe(&self.history, sensed_block, self.blocks);
-        self.history.push_back(sensed_block);
-        if self.history.len() > self.history_cap {
-            self.history.pop_front();
+            eavesdropping: eavesdrop,
         }
     }
 }
@@ -268,25 +215,40 @@ impl Adversary for AdaptiveJammer {
     }
 
     fn jam(&mut self, sense: &SlotSense, rng: &mut dyn rand::RngCore) -> JamAction {
-        if self.eavesdropping {
-            // The hub's plaintext announcement told the jammer exactly
-            // where the victim will be; decoys cannot fool a
-            // frame-decoding adversary.
-            let block = sense.victim_channel / self.jam_width;
-            let action = JamAction {
-                block: ChannelBlock::of_block_index(block, self.jam_width),
-                power: pick_power(&self.powers, self.mode, rng),
-                locked: true,
-            };
-            // Keep the bookkeeping consistent (hit counters).
-            self.shots += 1;
-            self.hits += 1;
-            action
+        let victim_block = sense.victim_channel / self.jam_width;
+        // An eavesdropper was told where the victim will be, and decoys
+        // cannot fool a frame-decoding adversary. A predictor commits to
+        // its block before seeing where the victim goes.
+        let block = if self.eavesdropping {
+            victim_block
         } else {
-            let aimed = self.aim(rng);
-            self.sense_with_decoy(sense.victim_channel, sense.decoy, &aimed);
-            aimed
+            self.predictor
+                .predict(&self.history, self.blocks)
+                .min(self.blocks - 1)
+        };
+        let action = JamAction {
+            block: ChannelBlock::of_block_index(block, self.jam_width),
+            power: pick_power(&self.powers, self.mode, rng),
+            locked: true,
+        };
+        self.shots += 1;
+        if block == victim_block {
+            self.hits += 1;
         }
+        if !self.eavesdropping {
+            // Wideband energy detection: the hit counter scores against
+            // the real victim, but the predictor learns from what the
+            // detector heard loudest — the decoy, if any — so bait
+            // pollutes the learned traffic pattern.
+            let sensed_block = sense.sensed_channel() / self.jam_width;
+            self.predictor
+                .observe(&self.history, sensed_block, self.blocks);
+            self.history.push_back(sensed_block);
+            if self.history.len() > self.history_cap {
+                self.history.pop_front();
+            }
+        }
+        action
     }
 
     fn clone_box(&self) -> Box<dyn Adversary> {
@@ -303,148 +265,11 @@ impl Adversary for AdaptiveJammer {
     }
 }
 
-/// A competition environment driven by the adaptive jammer.
-#[derive(Debug, Clone)]
-pub struct AdaptiveEnv {
-    params: EnvParams,
-    jammer: AdaptiveJammer,
-    current_channel: usize,
-}
-
-impl AdaptiveEnv {
-    /// Creates the environment with the chosen predictor.
-    pub fn new<R: Rng + ?Sized>(params: EnvParams, kind: PredictorKind, rng: &mut R) -> Self {
-        let jammer = AdaptiveJammer::new(&params, kind, rng);
-        let current_channel = rng.gen_range(0..params.num_channels());
-        AdaptiveEnv {
-            params,
-            jammer,
-            current_channel,
-        }
-    }
-
-    /// Creates the environment with an *eavesdropping* jammer.
-    ///
-    /// §IV.A.2 has the hub announce next-slot FH/PC info to peripherals
-    /// in advance, noting it "can be encrypted to prevent eavesdropping".
-    /// This constructor quantifies why: when `announcements_encrypted` is
-    /// `false`, the jammer decodes the polling frames and jams the exact
-    /// announced channel — no prediction needed; when `true`, the sealed
-    /// payload ([`ctjam_net::crypto`]) is opaque and the jammer falls
-    /// back to the `kind` predictor.
-    pub fn with_eavesdropping<R: Rng + ?Sized>(
-        params: EnvParams,
-        kind: PredictorKind,
-        announcements_encrypted: bool,
-        rng: &mut R,
-    ) -> Self {
-        let mut env = AdaptiveEnv::new(params, kind, rng);
-        env.jammer.set_eavesdropping(!announcements_encrypted);
-        env
-    }
-
-    /// The jammer (e.g. to read its hit rate after a run).
-    pub fn jammer(&self) -> &AdaptiveJammer {
-        &self.jammer
-    }
-
-    /// Advances one slot with the defender's decision plus an optional
-    /// decoy transmission (the decoy pollutes the predictor's sensed
-    /// history and costs `l_decoy`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the decision or decoy indexes out of range.
-    pub fn step_with_decoy(
-        &mut self,
-        decision: Decision,
-        decoy: Option<usize>,
-        rng: &mut dyn rand::RngCore,
-    ) -> SlotResult {
-        assert!(
-            decision.channel < self.params.num_channels(),
-            "channel {} out of range",
-            decision.channel
-        );
-        assert!(
-            decision.power_level < self.params.num_powers(),
-            "power level {} out of range",
-            decision.power_level
-        );
-        if let Some(decoy) = decoy {
-            assert!(
-                decoy < self.params.num_channels(),
-                "decoy channel {decoy} out of range"
-            );
-        }
-        let hopped = decision.channel != self.current_channel;
-        self.current_channel = decision.channel;
-        let tx_power = self.params.tx_powers[decision.power_level];
-
-        let sense = SlotSense {
-            victim_channel: decision.channel,
-            victim_power: tx_power,
-            decoy,
-        };
-        let action = Adversary::jam(&mut self.jammer, &sense, rng);
-        let outcome = if action.covers(decision.channel) {
-            if tx_power >= action.power {
-                Outcome::JammedSurvived
-            } else {
-                Outcome::Jammed
-            }
-        } else {
-            Outcome::Clean
-        };
-
-        let mut reward = -tx_power;
-        if outcome == Outcome::Jammed {
-            reward -= self.params.l_j;
-        }
-        if hopped {
-            reward -= self.params.l_h;
-        }
-        if decoy.is_some() {
-            reward -= self.params.l_decoy;
-        }
-        SlotResult {
-            decision,
-            outcome,
-            hopped,
-            power_control: decision.power_level > self.params.min_power_level(),
-            reward,
-            jam_action: action,
-        }
-    }
-}
-
-impl Environment for AdaptiveEnv {
-    fn params(&self) -> &EnvParams {
-        &self.params
-    }
-
-    fn current_channel(&self) -> usize {
-        self.current_channel
-    }
-
-    fn step(&mut self, decision: Decision, rng: &mut dyn rand::RngCore) -> SlotResult {
-        AdaptiveEnv::step_with_decoy(self, decision, None, rng)
-    }
-
-    fn step_with_decoy(
-        &mut self,
-        decision: Decision,
-        decoy: Option<usize>,
-        rng: &mut dyn rand::RngCore,
-    ) -> SlotResult {
-        AdaptiveEnv::step_with_decoy(self, decision, decoy, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::defender::{Defender, RandomFh};
+    use crate::env::{CompetitionEnv, Decision, EnvParams, SlotResult};
     use crate::runner::RunBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -453,11 +278,19 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// The default environment facing `adversary`.
+    fn params_against(adversary: AdversaryConfig) -> EnvParams {
+        EnvParams {
+            adversary,
+            ..EnvParams::default()
+        }
+    }
+
     fn run_pattern(kind: PredictorKind, pattern: &[usize], slots: usize, seed: u64) -> f64 {
         // A deterministic victim cycling through the given channels.
-        let params = EnvParams::default();
+        let params = params_against(AdversaryConfig::adaptive(kind));
         let mut r = rng(seed);
-        let mut env = AdaptiveEnv::new(params, kind, &mut r);
+        let mut env = CompetitionEnv::new(params, &mut r);
         for t in 0..slots {
             let d = Decision {
                 channel: pattern[t % pattern.len()],
@@ -465,7 +298,7 @@ mod tests {
             };
             env.step(d, &mut r);
         }
-        env.jammer().hit_rate()
+        env.adversary_probe().hit_rate()
     }
 
     #[test]
@@ -530,13 +363,13 @@ mod tests {
     fn uniform_hopping_bounds_any_predictor_at_chance() {
         // 4 blocks → chance = 25%. No predictor can beat a uniformly
         // random victim by a meaningful margin.
-        let params = EnvParams::default();
         for kind in [PredictorKind::Markov, PredictorKind::Rnn] {
+            let params = params_against(AdversaryConfig::adaptive(kind));
             let mut r = rng(4);
-            let mut env = AdaptiveEnv::new(params.clone(), kind, &mut r);
+            let mut env = CompetitionEnv::new(params.clone(), &mut r);
             let mut defender = UniformHopper { num_channels: 16 };
             let _ = RunBuilder::new(&params).run_in(&mut env, &mut defender, 1_500, &mut r);
-            let hit = env.jammer().hit_rate();
+            let hit = env.adversary_probe().hit_rate();
             assert!(
                 (hit - 0.25).abs() < 0.08,
                 "{kind:?} should sit at chance vs a uniform victim: {hit}"
@@ -550,12 +383,12 @@ mod tests {
         // arm (half the slots), so even a Markov predictor lands well
         // above chance against it — randomized *hopping* is not the same
         // as a randomized *strategy*.
-        let params = EnvParams::default();
+        let params = params_against(AdversaryConfig::adaptive(PredictorKind::Markov));
         let mut r = rng(4);
-        let mut env = AdaptiveEnv::new(params.clone(), PredictorKind::Markov, &mut r);
+        let mut env = CompetitionEnv::new(params.clone(), &mut r);
         let mut defender = RandomFh::new(&params, &mut r);
         let _ = RunBuilder::new(&params).run_in(&mut env, &mut defender, 1_500, &mut r);
-        let hit = env.jammer().hit_rate();
+        let hit = env.adversary_probe().hit_rate();
         assert!(
             hit > 0.4,
             "Rand FH's stay-arm should make it predictable: {hit}"
@@ -566,12 +399,13 @@ mod tests {
     fn plaintext_announcements_are_fatal_and_encryption_restores_the_fight() {
         // §IV.A.2's "can be encrypted to prevent eavesdropping",
         // quantified: the same uniformly hopping victim faces an
-        // announcement-reading jammer with and without encryption.
-        let params = EnvParams::default();
+        // announcement-reading jammer with and without encryption (an
+        // encrypted announcement leaves the jammer its predictor).
+        let markov = AdversaryConfig::adaptive(PredictorKind::Markov);
+        let params = params_against(markov.clone().eavesdrop());
 
         let mut r = rng(6);
-        let mut plaintext =
-            AdaptiveEnv::with_eavesdropping(params.clone(), PredictorKind::Markov, false, &mut r);
+        let mut plaintext = CompetitionEnv::new(params.clone(), &mut r);
         let mut victim = UniformHopper { num_channels: 16 };
         let report = RunBuilder::new(&params).run_in(&mut plaintext, &mut victim, 800, &mut r);
         assert!(
@@ -579,11 +413,11 @@ mod tests {
             "plaintext announcements should be fatal: ST {}",
             report.metrics.success_rate()
         );
-        assert!(plaintext.jammer().hit_rate() > 0.99);
+        assert!(plaintext.adversary_probe().hit_rate() > 0.99);
 
+        let params = params_against(markov);
         let mut r = rng(6);
-        let mut encrypted =
-            AdaptiveEnv::with_eavesdropping(params.clone(), PredictorKind::Markov, true, &mut r);
+        let mut encrypted = CompetitionEnv::new(params.clone(), &mut r);
         let mut victim = UniformHopper { num_channels: 16 };
         let report = RunBuilder::new(&params).run_in(&mut encrypted, &mut victim, 800, &mut r);
         assert!(
@@ -594,10 +428,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_env_respects_eq5_rewards() {
-        let params = EnvParams::default();
+    fn adaptive_jammer_slots_pay_eq5_rewards() {
+        let params = params_against(AdversaryConfig::adaptive(PredictorKind::Markov));
         let mut r = rng(5);
-        let mut env = AdaptiveEnv::new(params.clone(), PredictorKind::Markov, &mut r);
+        let mut env = CompetitionEnv::new(params.clone(), &mut r);
         let d = Decision {
             channel: env.current_channel(),
             power_level: 0,

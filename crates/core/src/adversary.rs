@@ -27,12 +27,15 @@
 
 use crate::adaptive::AdaptiveJammer;
 use crate::adaptive::PredictorKind;
-use crate::jammer::{JammerConfig, JammerMode, SweepJammer};
 use ctjam_dqn::agent::DqnAgent;
 use ctjam_dqn::config::DqnConfig;
 use ctjam_dqn::encode::{ObservationEncoder, SlotOutcome, SlotRecord};
 use rand::{Rng, RngCore};
 use std::collections::VecDeque;
+
+/// Jammer power-selection mode (paper §II.C.1): the one the MDP kernel
+/// models, shared by every adversary's front end.
+pub use ctjam_mdp::antijam::JammerMode;
 
 /// A typed block of consecutive channels (start + width), replacing the
 /// old raw `block_start: usize` so adversaries with different front-end
@@ -227,8 +230,8 @@ pub enum AdversaryKind {
 }
 
 /// Plain-data description of an adversary: the shared jamming front end
-/// (channel grid, block width, power levels, power mode — the old
-/// [`JammerConfig`] fields) plus the [`AdversaryKind`] behaviour on top.
+/// (channel grid, block width, power levels, power mode) plus the
+/// [`AdversaryKind`] behaviour on top.
 ///
 /// Environments ([`crate::env::EnvParams::adversary`]) and fleet
 /// campaign specs carry this by value; its `Debug` form feeds campaign
@@ -248,19 +251,15 @@ pub struct AdversaryConfig {
 }
 
 impl Default for AdversaryConfig {
+    /// The paper's jammer: an EmuBee front end covering 4 of the 16
+    /// ZigBee channels per slot at levels `11..=20` in max-power mode,
+    /// running the sweep.
     fn default() -> Self {
-        JammerConfig::default().into()
-    }
-}
-
-impl From<JammerConfig> for AdversaryConfig {
-    /// The old front-end config, as the sweep jammer it used to imply.
-    fn from(front_end: JammerConfig) -> Self {
         AdversaryConfig {
-            num_channels: front_end.num_channels,
-            jam_width: front_end.jam_width,
-            powers: front_end.powers,
-            mode: front_end.mode,
+            num_channels: ctjam_phy::zigbee::NUM_CHANNELS,
+            jam_width: ctjam_phy::wifi::ZIGBEE_CHANNELS_COVERED,
+            powers: (11..=20).map(f64::from).collect(),
+            mode: JammerMode::MaxPower,
             kind: AdversaryKind::Sweep,
         }
     }
@@ -378,16 +377,6 @@ impl AdversaryConfig {
     pub fn with_sweep_cycle(mut self, cycle: usize) -> Self {
         self.num_channels = cycle * self.jam_width;
         self
-    }
-
-    /// The shared front-end parameters as the legacy [`JammerConfig`].
-    pub fn front_end(&self) -> JammerConfig {
-        JammerConfig {
-            num_channels: self.num_channels,
-            jam_width: self.jam_width,
-            powers: self.powers.clone(),
-            mode: self.mode,
-        }
     }
 
     /// The strongest configured jamming power.
@@ -570,9 +559,7 @@ impl AdversaryConfig {
     fn build_kind<R: Rng + ?Sized>(&self, kind: &AdversaryKind, rng: &mut R) -> Box<dyn Adversary> {
         match kind {
             AdversaryKind::None => Box::new(NullAdversary),
-            AdversaryKind::Sweep => {
-                Box::new(SweepAdversary::new(SweepJammer::new(self.front_end(), rng)))
-            }
+            AdversaryKind::Sweep => Box::new(SweepAdversary::new(self, rng)),
             AdversaryKind::Reactive {
                 sense_threshold,
                 latency,
@@ -596,11 +583,7 @@ impl AdversaryConfig {
             AdversaryKind::Adaptive {
                 predictor,
                 eavesdrop,
-            } => {
-                let mut jammer = AdaptiveJammer::from_config(self, *predictor, rng);
-                jammer.set_eavesdropping(*eavesdrop);
-                Box::new(jammer)
-            }
+            } => Box::new(AdaptiveJammer::new(self, *predictor, *eavesdrop, rng)),
             AdversaryKind::LearningDqn => Box::new(DqnJammer::new(self, rng)),
         }
     }
@@ -634,23 +617,64 @@ impl Adversary for NullAdversary {
     }
 }
 
-/// The paper's sweep jammer behind the [`Adversary`] trait. Decoys work
-/// on it exactly like real transmissions: any active channel in the
-/// attacked block acquires (or retains) the lock.
+/// The paper's cross-technology sweep jammer (§II.C).
+///
+/// A Wi-Fi-based EmuBee jammer covers `m` consecutive ZigBee channels at
+/// once (4 for a 20 MHz front end) and needs `⌈K/m⌉` slots to scan all
+/// `K` channels. It sweeps the channel blocks in a fresh random order
+/// each cycle (a deterministic cycle would be trivially predictable —
+/// the paper's Fig. 6(b) notes the degenerate sweep-cycle-2 case), locks
+/// onto a victim when its block shows activity, and leaves again once
+/// the victim disappears.
+///
+/// It senses per block, so decoys work on it exactly like real
+/// transmissions: any active channel in the attacked block acquires (or
+/// retains) the lock.
 #[derive(Debug, Clone)]
 pub struct SweepAdversary {
-    jammer: SweepJammer,
+    jam_width: usize,
+    powers: Vec<f64>,
+    mode: JammerMode,
+    /// Random block order for the current cycle.
+    order: Vec<usize>,
+    /// Position within `order`.
+    cursor: usize,
+    /// Block currently locked onto, if a victim was found.
+    locked: Option<usize>,
 }
 
 impl SweepAdversary {
-    /// Wraps an already-constructed sweep jammer.
-    pub fn new(jammer: SweepJammer) -> Self {
-        SweepAdversary { jammer }
+    /// Builds a sweep jammer on `config`'s front end and shuffles its
+    /// first sweep cycle from `rng`.
+    pub fn new<R: Rng + ?Sized>(config: &AdversaryConfig, rng: &mut R) -> Self {
+        let mut sweep = SweepAdversary {
+            jam_width: config.jam_width,
+            powers: config.powers.clone(),
+            mode: config.mode,
+            order: (0..config.sweep_cycle()).collect(),
+            cursor: 0,
+            locked: None,
+        };
+        sweep.shuffle_cycle(rng);
+        sweep
     }
 
-    /// The wrapped jammer.
-    pub fn jammer(&self) -> &SweepJammer {
-        &self.jammer
+    fn shuffle_cycle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        // Fisher–Yates.
+        for i in (1..self.order.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            self.order.swap(i, j);
+        }
+        self.cursor = 0;
+    }
+
+    fn next_sweep_block(&mut self, rng: &mut dyn RngCore) -> usize {
+        if self.cursor >= self.order.len() {
+            self.shuffle_cycle(rng);
+        }
+        let block = self.order[self.cursor];
+        self.cursor += 1;
+        block
     }
 }
 
@@ -660,11 +684,30 @@ impl Adversary for SweepAdversary {
     }
 
     fn jam(&mut self, sense: &SlotSense, rng: &mut dyn RngCore) -> JamAction {
-        match sense.decoy {
-            Some(decoy) => self
-                .jammer
-                .step_sensing(&[sense.victim_channel, decoy], rng),
-            None => self.jammer.step_sensing(&[sense.victim_channel], rng),
+        let width = self.jam_width;
+        let is_active = |block: usize| {
+            sense.victim_channel / width == block || sense.decoy.is_some_and(|d| d / width == block)
+        };
+
+        let block = match self.locked {
+            Some(block) if is_active(block) => block, // keep tracking
+            Some(_) => {
+                // All activity left: resume sweeping for the next opportunity.
+                self.locked = None;
+                self.next_sweep_block(rng)
+            }
+            None => self.next_sweep_block(rng),
+        };
+
+        let found = is_active(block);
+        if found {
+            self.locked = Some(block);
+        }
+
+        JamAction {
+            block: ChannelBlock::of_block_index(block, width),
+            power: pick_power(&self.powers, self.mode, rng),
+            locked: found,
         }
     }
 
@@ -1096,20 +1139,147 @@ mod tests {
         assert!(JamAction::idle().is_idle());
     }
 
-    #[test]
-    fn sweep_adversary_matches_raw_jammer() {
-        let cfg = AdversaryConfig::sweep();
-        let mut r1 = rng(7);
-        let mut r2 = rng(7);
-        let mut adv = cfg.build(&mut r1);
-        let mut raw = SweepJammer::new(cfg.front_end(), &mut r2);
-        for slot in 0..64 {
-            let channel = (slot * 5) % cfg.num_channels;
-            let a = adv.jam(&sense(channel), &mut r1);
-            let b = raw.step(channel, &mut r2);
-            assert_eq!(a, b, "diverged at slot {slot}");
+    /// Folds one word into an FNV-1a digest, byte by byte.
+    fn fnv1a(digest: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *digest ^= u64::from(byte);
+            *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "RNG streams diverged");
+    }
+
+    #[test]
+    fn sweep_and_adaptive_jammers_match_pinned_digests() {
+        // Each config faces the same seeded sense sequence, with a decoy
+        // on about 30% of slots. Every action's block, power and lock,
+        // then the RNG's next draw, fold into one FNV-1a digest per
+        // config, so the constants pin decisions and RNG draws alike,
+        // decoy path included. A digest that moves means every seeded
+        // result built on these jammers moves with it.
+        let configs = [
+            AdversaryConfig::sweep(),
+            AdversaryConfig::sweep().random_power(),
+            AdversaryConfig::sweep().with_sweep_cycle(8),
+            AdversaryConfig::adaptive(PredictorKind::LastBlock),
+            AdversaryConfig::adaptive(PredictorKind::Markov),
+            AdversaryConfig::adaptive(PredictorKind::Rnn),
+            AdversaryConfig::adaptive(PredictorKind::Markov).eavesdrop(),
+        ];
+        let pinned: [u64; 7] = [
+            0x533b_2935_30a4_ad74,
+            0x4d4b_af91_e393_1638,
+            0x85cb_fb7f_faf5_6392,
+            0x024e_97c1_2c2e_4bca,
+            0x19f7_d52b_139f_32d2,
+            0x9776_55c6_a083_50e6,
+            0xf184_6d95_1926_7832,
+        ];
+        let digests: Vec<u64> = configs
+            .iter()
+            .map(|config| {
+                let channels = config.num_channels;
+                let mut r = rng(0xD16E57);
+                let mut senses = rng(0x5E115E);
+                let mut adv = config.build(&mut r);
+                let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+                for _ in 0..512 {
+                    let sense = SlotSense {
+                        victim_channel: senses.gen_range(0..channels),
+                        victim_power: 10.0,
+                        decoy: senses.gen_bool(0.3).then(|| senses.gen_range(0..channels)),
+                    };
+                    let action = adv.jam(&sense, &mut r);
+                    fnv1a(&mut digest, action.block.start as u64);
+                    fnv1a(&mut digest, action.block.width as u64);
+                    fnv1a(&mut digest, action.power.to_bits());
+                    fnv1a(&mut digest, u64::from(action.locked));
+                }
+                fnv1a(&mut digest, r.gen::<u64>());
+                digest
+            })
+            .collect();
+        let hex: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
+        assert_eq!(digests, pinned, "digests moved: {hex:?}");
+    }
+
+    #[test]
+    fn default_front_end_is_the_paper_jammer() {
+        let config = AdversaryConfig::default();
+        assert_eq!(config.sweep_cycle(), 4);
+        assert_eq!(config.kind, AdversaryKind::Sweep);
+        assert_eq!(config.mode, JammerMode::MaxPower);
+        assert_eq!(config.max_jam_power(), 20.0);
+        let rescaled = config.with_sweep_cycle(8);
+        assert_eq!(rescaled.sweep_cycle(), 8);
+        assert_eq!(rescaled.num_channels, 32);
+    }
+
+    #[test]
+    fn sweep_locks_onto_a_static_victim_and_leaves_when_it_hops() {
+        let mut r = rng(2);
+        let mut adv = AdversaryConfig::sweep().build(&mut r);
+        let victim = 5;
+        // A static victim is found within one 4-slot cycle.
+        let found = (0..4).any(|_| adv.jam(&sense(victim), &mut r).locked);
+        assert!(found, "sweep must find a static victim in a cycle");
+        // Stays locked while the victim remains.
+        let a = adv.jam(&sense(victim), &mut r);
+        assert!(a.locked && a.covers(victim));
+        // The victim hops to another block: the lock is dropped and the
+        // sweep resumes, locking only if it lands on the new block.
+        let far = 15;
+        let a = adv.jam(&sense(far), &mut r);
+        assert_eq!(a.locked, a.covers(far));
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)] // slot doubles as histogram bin
+    fn sweep_discovery_hazard_is_uniform_over_cycle() {
+        // A static victim should be discovered at a uniformly distributed
+        // slot within the sweep cycle (the 1/(⌈K/m⌉−n) hazard of Eq. 6).
+        let mut r = rng(3);
+        let mut histogram = [0usize; 4];
+        for _ in 0..4000 {
+            let mut adv = AdversaryConfig::sweep().build(&mut r);
+            for slot in 0..4 {
+                if adv.jam(&sense(7), &mut r).covers(7) {
+                    histogram[slot] += 1;
+                    break;
+                }
+            }
+        }
+        let total: usize = histogram.iter().sum();
+        assert_eq!(total, 4000, "victim must always be found in one cycle");
+        for (slot, &count) in histogram.iter().enumerate() {
+            let frac = count as f64 / total as f64;
+            assert!(
+                (frac - 0.25).abs() < 0.03,
+                "slot {slot} discovery fraction {frac}"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_power_follows_the_mode() {
+        let mut r = rng(4);
+        let mut max = AdversaryConfig::sweep().build(&mut r);
+        for _ in 0..20 {
+            assert_eq!(max.jam(&sense(0), &mut r).power, 20.0);
+        }
+        let mut rnd = AdversaryConfig::sweep().random_power().build(&mut r);
+        let seen: std::collections::HashSet<i64> = (0..300)
+            .map(|_| rnd.jam(&sense(0), &mut r).power as i64)
+            .collect();
+        assert!(seen.len() >= 8, "random powers too narrow: {seen:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "jam width exceeds the channel count")]
+    fn wide_jam_width_rejected() {
+        let config = AdversaryConfig {
+            num_channels: 2,
+            ..AdversaryConfig::sweep()
+        };
+        config.build(&mut rng(6));
     }
 
     #[test]

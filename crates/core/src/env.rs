@@ -10,7 +10,6 @@
 //! * **`J`** — jammed and lost: the slot's traffic is gone.
 
 use crate::adversary::{Adversary, AdversaryConfig, AdversaryProbe, JamAction, SlotSense};
-use crate::jammer::JammerMode;
 use rand::{Rng, RngCore};
 
 /// Slot outcome (the observable projection of the MDP state).
@@ -77,11 +76,6 @@ impl EnvParams {
     /// The minimum Tx power level index (the "no power control" level).
     pub fn min_power_level(&self) -> usize {
         0
-    }
-
-    /// Jammer mode shortcut.
-    pub fn jammer_mode(&self) -> JammerMode {
-        self.adversary.mode
     }
 
     /// Shifts the Tx power range to `[lower, lower + count − 1]`
@@ -152,9 +146,10 @@ impl SlotResult {
 /// A slot-level environment the runner can drive.
 ///
 /// Two implementations exist: [`CompetitionEnv`] (the concrete
-/// 16-channel radio game used by the field experiment) and
-/// [`crate::kernel::KernelEnv`] (the paper's abstract Eqs. 6–14 kernel
-/// used by the simulation figures).
+/// 16-channel radio game against whichever adversary
+/// [`EnvParams::adversary`] describes) and [`crate::kernel::KernelEnv`]
+/// (the paper's abstract Eqs. 6–14 kernel used by the simulation
+/// figures).
 pub trait Environment {
     /// The parameters in force.
     fn params(&self) -> &EnvParams;

@@ -2,14 +2,15 @@
 //!
 //! Couples the slot-level jamming competition to the packet-level star
 //! network: each Tx slot the defender commits a `(channel, power)`
-//! decision, the jammer acts on *its own clock* (`jx_slot_s` may differ
-//! from `tx_slot_s` — the Fig. 11(b) experiment), and whatever fraction of
-//! the slot ends up jammed translates into lost packets in the
+//! decision, the adversary described by [`EnvParams::adversary`] acts on
+//! *its own clock* (`jx_slot_s` may differ from `tx_slot_s` — the
+//! Fig. 11(b) experiment), and whatever fraction of the slot ends up
+//! jammed translates into lost packets in the
 //! [`ctjam_net::star::StarNetwork`].
 
+use crate::adversary::{Adversary, JamAction, SlotSense};
 use crate::defender::Defender;
 use crate::env::{EnvParams, Outcome, SlotResult};
-use crate::jammer::{JamAction, SweepJammer};
 use crate::metrics::Metrics;
 use ctjam_net::goodput::GoodputMeter;
 use ctjam_net::star::StarNetwork;
@@ -30,6 +31,8 @@ pub struct FieldConfig {
     /// Application payload size per packet, bytes.
     pub payload_len: usize,
     /// Whether the jammer is present (`false` = the "w/o Jx" reference).
+    /// A disabled jammer is still built, so its construction draws
+    /// (the sweep's first shuffle) stay in the RNG stream.
     pub jammer_enabled: bool,
     /// Timing model for the star network.
     pub timing: TimingModel,
@@ -69,33 +72,35 @@ impl FieldReport {
 #[derive(Debug, Clone)]
 pub struct FieldExperiment<D> {
     config: FieldConfig,
-    jammer: SweepJammer,
+    adversary: Box<dyn Adversary>,
     network: StarNetwork,
     defender: D,
     /// Absolute time, seconds.
     now_s: f64,
     /// Absolute time of the jammer's next decision.
     jx_next_s: f64,
-    /// The jammer's standing action (block + power) between its ticks.
+    /// The adversary's standing action (block + power) between its ticks.
     standing: Option<JamAction>,
     /// Channel of the previous slot's decision (hop detection).
     prev_channel: Option<usize>,
 }
 
 impl<D: Defender> FieldExperiment<D> {
-    /// Sets up the experiment.
+    /// Sets up the experiment, building the adversary described by
+    /// `config.env.adversary` from `rng`.
     ///
     /// # Panics
     ///
-    /// Panics if either slot duration is non-positive.
+    /// Panics if either slot duration is non-positive or the adversary
+    /// configuration is degenerate.
     pub fn new<R: Rng + ?Sized>(config: FieldConfig, defender: D, rng: &mut R) -> Self {
         assert!(config.tx_slot_s > 0.0, "tx slot must be positive");
         assert!(config.jx_slot_s > 0.0, "jx slot must be positive");
-        let jammer = SweepJammer::new(config.env.adversary.front_end(), rng);
+        let adversary = config.env.adversary.build(rng);
         let network =
             StarNetwork::with_config(config.num_peripherals, config.timing, config.payload_len);
         FieldExperiment {
-            jammer,
+            adversary,
             network,
             defender,
             now_s: 0.0,
@@ -157,16 +162,21 @@ impl<D: Defender> FieldExperiment<D> {
         let mut tj_time = 0.0;
 
         if self.config.jammer_enabled {
-            // Walk the jammer's tick grid across this slot.
+            let sense = SlotSense {
+                victim_channel: decision.channel,
+                victim_power: tx_power,
+                decoy: None,
+            };
+            // Walk the adversary's tick grid across this slot.
             while self.now_s < slot_end {
                 if self.jx_next_s <= self.now_s {
-                    self.standing = Some(self.jammer.step(decision.channel, rng));
+                    self.standing = Some(self.adversary.jam(&sense, rng));
                     self.jx_next_s += self.config.jx_slot_s;
                 }
                 let segment_end = slot_end.min(self.jx_next_s);
                 let segment = segment_end - self.now_s;
                 if let Some(action) = &self.standing {
-                    if self.jammer.covers(action, decision.channel) {
+                    if action.covers(decision.channel) {
                         if tx_power >= action.power {
                             tj_time += segment;
                         } else {
@@ -214,6 +224,7 @@ impl<D: Defender> FieldExperiment<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::AdversaryConfig;
     use crate::defender::{NoDefense, PassiveFh, RandomFh};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -234,6 +245,27 @@ mod tests {
         let report = exp.run(10, &mut r);
         assert!(report.metrics.success_rate() == 1.0);
         assert!(report.packets_per_slot() > 300.0);
+    }
+
+    #[test]
+    fn an_absent_adversary_never_jams_the_field() {
+        // The jammer is enabled, but the adversary it is handed is the
+        // null one: every slot must come out clean.
+        let mut r = rng(7);
+        let config = FieldConfig {
+            env: EnvParams {
+                adversary: AdversaryConfig::none(),
+                ..EnvParams::default()
+            },
+            jammer_enabled: true,
+            ..FieldConfig::default()
+        };
+        let defender = NoDefense::new(&config.env, &mut r);
+        let mut exp = FieldExperiment::new(config, defender, &mut r);
+        let report = exp.run(40, &mut r);
+        assert_eq!(report.metrics.jam_rate(), 0.0);
+        assert_eq!(report.metrics.tj_rate(), 0.0);
+        assert_eq!(report.metrics.success_rate(), 1.0);
     }
 
     #[test]

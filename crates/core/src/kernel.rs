@@ -9,7 +9,6 @@
 
 use crate::adversary::{ChannelBlock, JamAction};
 use crate::env::{Decision, EnvParams, Environment, Outcome, SlotResult};
-use crate::jammer::JammerMode;
 use ctjam_mdp::antijam::{Action as MdpAction, AntijamMdp, AntijamParams, State as MdpState};
 use ctjam_mdp::solve::q_learning::sample_transition;
 use rand::Rng;
@@ -22,10 +21,7 @@ pub fn mdp_params_of(params: &EnvParams) -> AntijamParams {
         jx_powers: params.adversary.powers.clone(),
         l_h: params.l_h,
         l_j: params.l_j,
-        jammer_mode: match params.adversary.mode {
-            JammerMode::MaxPower => ctjam_mdp::antijam::JammerMode::MaxPower,
-            JammerMode::RandomPower => ctjam_mdp::antijam::JammerMode::RandomPower,
-        },
+        jammer_mode: params.adversary.mode,
     }
 }
 

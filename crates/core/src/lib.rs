@@ -6,18 +6,19 @@
 //!   [`adversary::AdversaryConfig`] carried by environments and fleet
 //!   campaign specs, and the zoo (sweep, reactive, pursuit,
 //!   energy-budgeted, adaptive, learning DQN attacker) plus the
-//!   decoy/bait defender hook.
-//! * [`jammer`] — the cross-technology sweep jammer: scans `m` consecutive
-//!   ZigBee channels per slot in a random-permutation cycle, locks onto a
-//!   found victim, and picks its power per mode (max / random).
+//!   decoy/bait defender hook. [`adversary::AdversaryConfig::build`] is
+//!   the only way an environment, the field experiment included, gets
+//!   its jammer; the paper's own is [`adversary::SweepAdversary`], which
+//!   scans `m` consecutive ZigBee channels per slot in a
+//!   random-permutation cycle, locks onto a found victim, and picks its
+//!   power per [`adversary::JammerMode`] (max / random).
 //! * [`env`](mod@env) — the slot-level Tx↔Jx competition environment: the defender
 //!   picks `(channel, power)` each slot, the environment resolves clean /
 //!   jammed-but-survived (`TJ`) / jammed (`J`) and pays the Eq. (5) loss.
 //! * [`kernel`] — the paper's Matlab-simulation world: an environment
 //!   sampling the Eqs. 6–14 transition kernel directly (Figs. 6–8).
 //! * [`adaptive`] — a DeepJam-class adaptive jammer (wideband sensing +
-//!   LastBlock/Markov/RNN traffic prediction) and its environment — the
-//!   extension adversary.
+//!   LastBlock/Markov/RNN traffic prediction) — the extension adversary.
 //! * [`defender`] — anti-jamming strategies: the paper's DQN scheme plus
 //!   the passive-FH and random-FH baselines of Fig. 11(a), a no-defense
 //!   floor, and an MDP-oracle upper reference.
@@ -61,7 +62,6 @@ pub mod adversary;
 pub mod defender;
 pub mod env;
 pub mod field;
-pub mod jammer;
 pub mod kernel;
 pub mod metrics;
 pub mod pool;

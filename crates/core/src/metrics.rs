@@ -167,8 +167,8 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::JamAction;
     use crate::env::{Decision, Outcome, SlotResult};
-    use crate::jammer::JamAction;
 
     fn slot(outcome: Outcome, hopped: bool, pc: bool) -> SlotResult {
         SlotResult {

@@ -1,10 +1,9 @@
 //! Property-based tests over the competition environments and metrics.
 
 use ctjam_core::adaptive::PredictorKind;
-use ctjam_core::adversary::{AdversaryConfig, SlotSense};
+use ctjam_core::adversary::{AdversaryConfig, JammerMode, SlotSense};
 use ctjam_core::defender::{Defender, NoDefense, PassiveFh, RandomFh};
 use ctjam_core::env::{CompetitionEnv, Decision, EnvParams, Environment, Outcome};
-use ctjam_core::jammer::{JammerConfig, JammerMode, SweepJammer};
 use ctjam_core::kernel::KernelEnv;
 use ctjam_core::metrics::Metrics;
 use proptest::prelude::*;
@@ -136,13 +135,17 @@ proptest! {
     #[test]
     fn jammer_always_attacks_a_valid_block(seed in any::<u64>(), cycle in 2usize..6) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let config = JammerConfig::default().with_sweep_cycle(cycle);
+        let config = AdversaryConfig::sweep().with_sweep_cycle(cycle);
         let channels = config.num_channels;
         let width = config.jam_width;
-        let mut jammer = SweepJammer::new(config, &mut rng);
+        let mut jammer = config.build(&mut rng);
         for _ in 0..100 {
-            let victim = rng.gen_range(0..channels);
-            let action = jammer.step(victim, &mut rng);
+            let sense = SlotSense {
+                victim_channel: rng.gen_range(0..channels),
+                victim_power: 10.0,
+                decoy: None,
+            };
+            let action = jammer.jam(&sense, &mut rng);
             prop_assert_eq!(action.block.start % width, 0);
             prop_assert!(action.block.start + width <= channels);
             prop_assert!(action.power >= 11.0 && action.power <= 20.0);

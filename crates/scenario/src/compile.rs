@@ -9,10 +9,9 @@
 
 use crate::schema::{Campaign, Field, LinkSweep, Sweep, SweepAxis};
 use ctjam_channel::link::{JammerKind, JammingScenario};
-use ctjam_core::adversary::AdversaryConfig;
+use ctjam_core::adversary::{AdversaryConfig, JammerMode};
 use ctjam_core::env::EnvParams;
 use ctjam_core::field::FieldConfig;
-use ctjam_core::jammer::JammerMode;
 use ctjam_core::runner::SweepBudget;
 use ctjam_fault::{FaultRates, FaultSite};
 use ctjam_fleet::{CampaignFaults, CampaignPolicy, CampaignSpec};

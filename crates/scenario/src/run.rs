@@ -11,9 +11,9 @@
 use crate::error::ScenarioError;
 use crate::schema::{Campaign, Field, LinkSweep, Sweep};
 use ctjam_channel::link::LinkReport;
+use ctjam_core::adversary::JammerMode;
 use ctjam_core::defender::{DqnDefender, NoDefense};
 use ctjam_core::field::{FieldConfig, FieldExperiment, FieldReport};
-use ctjam_core::jammer::JammerMode;
 use ctjam_core::metrics::Metrics;
 use ctjam_core::runner::{capture_sweep, RunBuilder};
 use ctjam_dqn::checkpoint;

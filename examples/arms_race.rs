@@ -16,9 +16,10 @@
 //! cargo run --release --example arms_race
 //! ```
 
-use ctjam::core::adaptive::{AdaptiveEnv, PredictorKind};
+use ctjam::core::adaptive::PredictorKind;
+use ctjam::core::adversary::AdversaryConfig;
 use ctjam::core::defender::DqnDefender;
-use ctjam::core::env::EnvParams;
+use ctjam::core::env::{CompetitionEnv, EnvParams};
 use ctjam::core::runner::RunBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,24 +42,28 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     println!("== Act 2: the jammer learns ==");
-    let mut env = AdaptiveEnv::new(params.clone(), PredictorKind::Rnn, &mut rng);
-    let act2 = RunBuilder::new(&params).run_in(&mut env, &mut defense, eval_slots, &mut rng);
+    let predictor = EnvParams {
+        adversary: AdversaryConfig::adaptive(PredictorKind::Rnn),
+        ..params.clone()
+    };
+    let mut env = CompetitionEnv::new(predictor.clone(), &mut rng);
+    let act2 = RunBuilder::new(&predictor).run_in(&mut env, &mut defense, eval_slots, &mut rng);
     println!(
         "vs an RNN traffic predictor: ST = {:.1}%, jammer hit rate = {:.1}% (chance is 25%)",
         100.0 * act2.metrics.success_rate(),
-        100.0 * env.jammer().hit_rate()
+        100.0 * env.adversary_probe().hit_rate()
     );
     println!("the deterministic hop pattern was learned — the defense fell below the passive baseline.\n");
 
     println!("== Act 3: the defender randomizes ==");
     let mut hardened = defense.clone();
     hardened.set_temperature(Some(8.0));
-    let mut env = AdaptiveEnv::new(params.clone(), PredictorKind::Rnn, &mut rng);
-    let act3 = RunBuilder::new(&params).run_in(&mut env, &mut hardened, eval_slots, &mut rng);
+    let mut env = CompetitionEnv::new(predictor.clone(), &mut rng);
+    let act3 = RunBuilder::new(&predictor).run_in(&mut env, &mut hardened, eval_slots, &mut rng);
     println!(
         "softmax (t = 8) vs the same predictor: ST = {:.1}%, jammer hit rate = {:.1}%",
         100.0 * act3.metrics.success_rate(),
-        100.0 * env.jammer().hit_rate()
+        100.0 * env.adversary_probe().hit_rate()
     );
     let sweep_check = RunBuilder::new(&params).evaluate(&mut hardened, eval_slots, &mut rng);
     println!(

@@ -3,9 +3,9 @@
 //! Each test pins one quantitative anchor from the paper; the full-budget
 //! versions live in the `ctjam-bench` figure binaries.
 
+use ctjam::core::adversary::JammerMode;
 use ctjam::core::defender::{MdpOracle, NoDefense, PassiveFh, RandomFh};
 use ctjam::core::env::EnvParams;
-use ctjam::core::jammer::JammerMode;
 use ctjam::core::runner::{evaluate, train_and_evaluate_kernel};
 use ctjam::mdp::analysis::{
     check_threshold_structure, solve_threshold, thresholds_vs_lh, thresholds_vs_lj,
@@ -141,7 +141,7 @@ fn threshold_moves_in_the_directions_of_theorem_iii5() {
 #[test]
 fn threshold_falls_with_lj() {
     let base = AntijamParams {
-        jammer_mode: ctjam::mdp::antijam::JammerMode::RandomPower,
+        jammer_mode: JammerMode::RandomPower,
         ..AntijamParams::default()
     };
     let ts = thresholds_vs_lj(&base, &[20.0, 100.0, 1000.0]);
