@@ -579,10 +579,13 @@ fn accept_loop(
                 let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(shared);
                 let handle = thread::spawn(move || connection_loop(stream, conn_id, &shared));
-                connections
-                    .lock()
-                    .expect("connection list poisoned")
-                    .push(handle);
+                let mut held = connections.lock().expect("connection list poisoned");
+                // Join the threads of connections that have closed, so the
+                // list holds the live connections, not every one accepted.
+                for done in held.extract_if(.., |h| h.is_finished()) {
+                    let _ = done.join();
+                }
+                held.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(1));
@@ -917,5 +920,58 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
         if !alive {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::PolicyClient;
+    use ctjam_dqn::agent::DqnAgent;
+    use ctjam_dqn::config::DqnConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Polls `done` until it holds, failing the test after 10 s.
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn closed_connection_threads_are_joined_at_the_next_accept() {
+        let config = DqnConfig {
+            history_len: 3,
+            num_channels: 4,
+            num_power_levels: 2,
+            hidden: (16, 12),
+            ..DqnConfig::default()
+        };
+        let agent = DqnAgent::new(config, &mut StdRng::seed_from_u64(1));
+        let policy = GreedyPolicy::from_agent(&agent);
+        let server = PolicyServer::bind("127.0.0.1:0", policy, ServerConfig::default()).unwrap();
+        let held = || server.connections.lock().unwrap();
+        for _ in 0..64 {
+            let mut client = PolicyClient::connect(server.local_addr()).unwrap();
+            client.ping().unwrap();
+        }
+        wait_until("all 64 connection threads exit", || {
+            server.shared.metrics().connections.value == 64
+                && held().iter().all(JoinHandle::is_finished)
+        });
+        let mut client = PolicyClient::connect(server.local_addr()).unwrap();
+        client.ping().unwrap();
+        // The open connection's thread is live once its handle is held.
+        wait_until("the 65th connection's handle is held", || {
+            held().iter().any(|h| !h.is_finished())
+        });
+        let count = held().len();
+        assert!(
+            count <= 2,
+            "{count} connection handles held after 65 accepts"
+        );
     }
 }
