@@ -182,6 +182,21 @@ print(f"  {out}: ok ({len(manifests)} manifests, {len(svgs)} SVG plots, "
       f"{len(ckpts)} checkpoint(s))")
 PYEOF
 
+# Examples: the six that exit 0 run in release and must still exit 0
+# (about 10 s together). smart_warehouse drives the field experiment
+# through the runner, policy_server serves over loopback. arms_race is
+# left out: its closing assert needs softmax ST to beat greedy ST by
+# 0.20 against the RNN predictor, and at its seed, 2022, the margin is
+# 0.161, so it exits 101. ROADMAP item 2 owns that fix, which restates
+# the claim from a seed distribution rather than re-seeding the example.
+echo "== examples (release; arms_race left out) =="
+cargo build --release -q --examples
+for example in emubee_attack mdp_playbook online_learning policy_server quickstart smart_warehouse; do
+  "target/release/examples/$example" > "$ci_tmp/example-$example.out" 2>&1 \
+    || { cat "$ci_tmp/example-$example.out"; echo "FAIL: example $example exited non-zero"; exit 1; }
+  echo "  $example: ok"
+done
+
 # Results drift gate: the eight figure bins that finish within about
 # 20 s at their default budgets must print exactly the committed
 # results/<bin>.txt (run_all.sh regenerates those files). Every CTJAM_*

@@ -1,9 +1,8 @@
 //! MDP solver costs: building the anti-jamming MDP and solving it by
-//! value and policy iteration.
+//! value iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctjam_mdp::antijam::{AntijamMdp, AntijamParams, JammerMode};
-use ctjam_mdp::solve::policy_iteration::policy_iteration;
 use ctjam_mdp::solve::value_iteration::value_iteration;
 
 fn bench_mdp(c: &mut Criterion) {
@@ -23,13 +22,6 @@ fn bench_mdp(c: &mut Criterion) {
             &cycle,
             |b, _| {
                 b.iter(|| std::hint::black_box(value_iteration(mdp.tabular(), 0.9, 1e-9, 100_000)));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("policy_iteration", cycle),
-            &cycle,
-            |b, _| {
-                b.iter(|| std::hint::black_box(policy_iteration(mdp.tabular(), 0.9, 1e-9, 1_000)));
             },
         );
     }

@@ -330,7 +330,7 @@ fn report_field(report: &mut Report, field: &Field) {
         &[
             (
                 "defended, jammed".into(),
-                rows.iter().map(|r| r.report.packets_per_slot()).collect(),
+                rows.iter().map(|r| r.goodput.packets_per_slot()).collect(),
             ),
             (
                 "no jammer".into(),
@@ -345,9 +345,7 @@ fn report_field(report: &mut Report, field: &Field) {
         &x_labels,
         &[(
             "utilization".into(),
-            rows.iter()
-                .map(|r| r.report.goodput.utilization())
-                .collect(),
+            rows.iter().map(|r| r.goodput.utilization()).collect(),
         )],
     );
     let table_rows: Vec<Vec<String>> = rows
@@ -355,9 +353,9 @@ fn report_field(report: &mut Report, field: &Field) {
         .map(|r| {
             vec![
                 format!("{:.0}", r.duration_s),
-                format!("{:.0}", r.report.packets_per_slot()),
-                format!("{:.4}", r.report.goodput.utilization()),
-                format!("{:.3}", r.report.goodput.overhead_per_slot_s()),
+                format!("{:.0}", r.goodput.packets_per_slot()),
+                format!("{:.4}", r.goodput.utilization()),
+                format!("{:.3}", r.goodput.overhead_per_slot_s()),
                 format!("{:.0}", r.reference.packets_per_slot()),
             ]
         })

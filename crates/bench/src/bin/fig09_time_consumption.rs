@@ -25,6 +25,7 @@ fn main() {
         "DQN ~9 ms, ACK RTT ~0.9 ms, processing ~0.6 ms, polling ~13.1 ms/node; negotiation grows with network size, sometimes to seconds",
     );
     let trials = env_usize("CTJAM_TRIALS", 100);
+    let rounds = env_usize("CTJAM_ROUNDS", 400);
     let timing = TimingModel::default();
     let manifest = start_manifest(
         "fig09_time_consumption",
@@ -71,7 +72,6 @@ fn main() {
 
     println!("\n### Fig. 9(b): FH negotiation time vs network size\n");
     table_header(&["nodes", "mean (s)", "min (s)", "max (s)", "rounds > 1 s"]);
-    let rounds = env_usize("CTJAM_ROUNDS", 400);
     for nodes in 1..=10usize {
         let samples: Vec<f64> = (0..rounds)
             .map(|_| negotiate(&timing, nodes, &mut rng).total_s)

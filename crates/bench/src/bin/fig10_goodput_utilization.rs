@@ -62,9 +62,9 @@ fn main() {
     for row in &rows {
         table_row(&[
             format!("{:.0}", row.duration_s),
-            format!("{:.0}", row.report.packets_per_slot()),
-            pct(row.report.goodput.utilization()),
-            format!("{:.3}", row.report.goodput.overhead_per_slot_s()),
+            format!("{:.0}", row.goodput.packets_per_slot()),
+            pct(row.goodput.utilization()),
+            format!("{:.3}", row.goodput.overhead_per_slot_s()),
             format!("{:.0}", row.reference.packets_per_slot()),
         ]);
     }

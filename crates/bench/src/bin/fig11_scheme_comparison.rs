@@ -13,7 +13,7 @@ use ctjam_bench::{
     banner, env_usize, finish_manifest, pct, start_manifest, table_header, table_row,
 };
 use ctjam_core::defender::{Defender, DqnDefender, NoDefense, PassiveFh, RandomFh};
-use ctjam_core::field::{FieldConfig, FieldExperiment};
+use ctjam_core::field::{FieldConfig, FieldEnv};
 use ctjam_core::runner::RunBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,10 +34,10 @@ where
     let mut st = 0.0;
     for rep in 0..reps {
         let mut rng = StdRng::seed_from_u64(seed + 7919 * rep as u64);
-        let defender = make(&mut rng);
-        let mut experiment = FieldExperiment::new(config.clone(), defender, &mut rng);
-        let report = experiment.run(slots, &mut rng);
-        pkts += report.packets_per_slot();
+        let mut defender = make(&mut rng);
+        let mut env = FieldEnv::new(config.clone(), &mut rng);
+        let report = RunBuilder::new(&config.env).run_in(&mut env, &mut defender, slots, &mut rng);
+        pkts += env.goodput().packets_per_slot();
         st += report.metrics.success_rate();
     }
     (pkts / reps as f64, st / reps as f64)

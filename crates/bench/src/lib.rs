@@ -45,12 +45,22 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Reads an integer knob from the environment with a default.
+/// Reads an integer knob from the environment: `default` when unset.
+/// A value that is set but is not an unsigned integer (`2k`, `-1`, an
+/// empty string) ends the process with status 2 and a message naming
+/// the variable, so a mistyped budget never runs silently at the
+/// default. Binaries read their knobs before doing any work.
 pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(raw) = std::env::var_os(key) else {
+        return default;
+    };
+    match raw.to_str().map(str::parse) {
+        Some(Ok(value)) => value,
+        _ => {
+            eprintln!("{key}: {raw:?} is not an unsigned integer");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Prints the standard banner for a reproduction binary.

@@ -185,8 +185,8 @@ impl AdaptiveJammer {
     /// announcements instead of predicting. §IV.A.2 has the hub announce
     /// next-slot FH/PC info to peripherals in advance, noting it "can be
     /// encrypted to prevent eavesdropping"; this mode quantifies why.
-    /// Encrypted announcements ([`ctjam_net::crypto`]) are opaque, which
-    /// leaves the jammer its predictor (`eavesdrop = false`).
+    /// Encrypted announcements would be opaque, which leaves the jammer
+    /// its predictor (`eavesdrop = false`).
     pub fn new<R: Rng + ?Sized>(
         config: &AdversaryConfig,
         kind: PredictorKind,

@@ -41,9 +41,11 @@ pub struct AgentProbe {
 
 /// A per-slot decision maker.
 ///
-/// Implementations are driven by [`crate::runner::RunBuilder`]: `decide`
-/// at the start of each slot, then optionally `decoy`, then `feedback`
-/// with the resolved result at the end.
+/// Implementations are driven by the runner's one slot loop
+/// ([`crate::runner::RunBuilder::run_in`]), against any
+/// [`crate::env::Environment`], the field experiment included: `decide`
+/// at the start of each slot, then `decoy`, then `feedback` with the
+/// resolved result at the end.
 pub trait Defender {
     /// Human-readable scheme name (used in reports).
     fn name(&self) -> &str;

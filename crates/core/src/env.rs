@@ -143,13 +143,39 @@ impl SlotResult {
     }
 }
 
+/// The Eq. (5) reward of one slot: −L_p for the Tx power, −L_J when the
+/// slot is lost (`J`), −L_H on a hop and −L_decoy when a bait
+/// transmission went out, subtracted in that order. [`CompetitionEnv`]
+/// and [`crate::field::FieldEnv`] both pay their slots through it.
+pub(crate) fn eq5_reward(
+    params: &EnvParams,
+    tx_power: f64,
+    outcome: Outcome,
+    hopped: bool,
+    decoy: bool,
+) -> f64 {
+    let mut reward = -tx_power;
+    if outcome == Outcome::Jammed {
+        reward -= params.l_j;
+    }
+    if hopped {
+        reward -= params.l_h;
+    }
+    if decoy {
+        reward -= params.l_decoy;
+    }
+    reward
+}
+
 /// A slot-level environment the runner can drive.
 ///
-/// Two implementations exist: [`CompetitionEnv`] (the concrete
-/// 16-channel radio game against whichever adversary
-/// [`EnvParams::adversary`] describes) and [`crate::kernel::KernelEnv`]
-/// (the paper's abstract Eqs. 6–14 kernel used by the simulation
-/// figures).
+/// Three implementations exist, and [`crate::runner::RunBuilder::run_in`]
+/// drives each through the same slot loop: [`CompetitionEnv`] (the
+/// concrete 16-channel radio game against whichever adversary
+/// [`EnvParams::adversary`] describes), [`crate::kernel::KernelEnv`] (the
+/// paper's abstract Eqs. 6–14 kernel used by the simulation figures) and
+/// [`crate::field::FieldEnv`] (the field experiment: the same game on
+/// separate Tx and Jx clocks, feeding the star network's packet phase).
 pub trait Environment {
     /// The parameters in force.
     fn params(&self) -> &EnvParams;
@@ -308,24 +334,12 @@ impl CompetitionEnv {
             Outcome::Clean
         };
 
-        // Eq. (5): −L_p, −L_J on J, −L_H on hop; −L_decoy on bait.
-        let mut reward = -tx_power;
-        if outcome == Outcome::Jammed {
-            reward -= self.params.l_j;
-        }
-        if hopped {
-            reward -= self.params.l_h;
-        }
-        if decoy.is_some() {
-            reward -= self.params.l_decoy;
-        }
-
         SlotResult {
             decision,
             outcome,
             hopped,
             power_control,
-            reward,
+            reward: eq5_reward(&self.params, tx_power, outcome, hopped, decoy.is_some()),
             jam_action,
         }
     }

@@ -10,7 +10,6 @@
 use crate::adversary::{ChannelBlock, JamAction};
 use crate::env::{Decision, EnvParams, Environment, Outcome, SlotResult};
 use ctjam_mdp::antijam::{Action as MdpAction, AntijamMdp, AntijamParams, State as MdpState};
-use ctjam_mdp::solve::q_learning::sample_transition;
 use rand::Rng;
 
 /// Converts environment parameters into the paper's MDP parameters.
@@ -97,7 +96,7 @@ impl Environment for KernelEnv {
         };
         let s = self.mdp.state_index(self.state);
         let a = self.mdp.action_index(action);
-        let (next, reward) = sample_transition(self.mdp.tabular(), s, a, rng);
+        let (next, reward) = self.mdp.tabular().sample_transition(s, a, rng);
         self.state = self.mdp.state_of(next);
 
         let outcome = match self.state {

@@ -31,9 +31,10 @@
 //! * [`pool`] — the work-stealing shard pool (atomic injector over
 //!   scoped `std::thread`s) that `runner` sweeps and the `ctjam-fleet`
 //!   campaign engine schedule onto.
-//! * [`field`] — the field-experiment simulator: the slot competition
-//!   driving the star network with the paper's timing model
-//!   (Figs. 9–11).
+//! * [`field`] — the field-experiment simulator: [`field::FieldEnv`], an
+//!   environment that plays the slot competition on separate Tx and Jx
+//!   clocks and drives the star network with the paper's timing model
+//!   (Figs. 10–11). The runner's slot loop drives it like the other two.
 //!
 //! # Example
 //!

@@ -185,7 +185,8 @@ impl<'a, S: EventSink, F: FaultPoint> RunBuilder<'a, S, F> {
     }
 
     /// Drives `defender` against an existing environment for `slots`
-    /// slots.
+    /// slots: a concrete, kernel or field environment, or any other
+    /// [`Environment`].
     pub fn run_in<E, D, R>(
         self,
         env: &mut E,
@@ -288,7 +289,12 @@ impl<'a, S: EventSink, F: FaultPoint> RunBuilder<'a, S, F> {
     }
 }
 
-/// The slot loop every runner entry point funnels into: emits one
+/// The workspace's one slot loop. Its only caller is
+/// [`RunBuilder::run_in`], which every runner entry point funnels into,
+/// whatever the [`Environment`] (concrete, kernel or field). Per slot it
+/// calls [`Defender::decide`], then [`Defender::decoy`], then
+/// [`Environment::step_with_decoy`], then
+/// [`Defender::feedback_with_fault`]. It emits one
 /// [`ctjam_telemetry::SlotEvent`] per slot and, for learning defenders,
 /// one [`TrainEvent`] per slot in which a gradient step ran.
 ///
@@ -393,66 +399,6 @@ where
     }
 }
 
-/// Outcome of [`train_until`]: how training progressed and why it ended.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainingCurve {
-    /// Mean Eq. (5) reward of each completed window, in order.
-    pub window_rewards: Vec<f64>,
-    /// Slots actually trained.
-    pub slots_used: usize,
-    /// Whether the reward threshold was reached before the slot budget
-    /// ran out (the paper's "training goal achieved in advance").
-    pub converged: bool,
-}
-
-/// Trains with the paper's §IV.B early-stopping rule: "the training
-/// process lasts … unless the training goal has been achieved in advance
-/// (i.e., the average reward reaches a certain threshold)".
-///
-/// Training proceeds in windows of `window` slots on a persistent
-/// environment; it stops as soon as a window's mean reward reaches
-/// `reward_threshold`, or after `max_slots` in total.
-///
-/// # Panics
-///
-/// Panics if `window == 0`.
-pub fn train_until<R: Rng>(
-    params: &EnvParams,
-    defender: &mut DqnDefender,
-    max_slots: usize,
-    window: usize,
-    reward_threshold: f64,
-    rng: &mut R,
-) -> TrainingCurve {
-    assert!(window > 0, "training window must be positive");
-    defender.set_training(true);
-    let mut env = CompetitionEnv::new(params.clone(), rng);
-    let mut curve = TrainingCurve {
-        window_rewards: Vec::new(),
-        slots_used: 0,
-        converged: false,
-    };
-    while curve.slots_used < max_slots {
-        let this_window = window.min(max_slots - curve.slots_used);
-        let report = run_loop(
-            &mut env,
-            defender,
-            this_window,
-            rng,
-            &mut NullSink,
-            &mut NullFaultPlan,
-        );
-        curve.slots_used += this_window;
-        let mean = report.mean_reward();
-        curve.window_rewards.push(mean);
-        if this_window == window && mean >= reward_threshold {
-            curve.converged = true;
-            break;
-        }
-    }
-    curve
-}
-
 /// Evaluates any defender greedily for `slots` slots. For a DQN defender
 /// this freezes learning and exploration first.
 pub fn evaluate<D: Defender + ?Sized, R: Rng>(
@@ -503,9 +449,8 @@ pub fn train_and_evaluate_kernel<R: Rng>(
     (defender, report)
 }
 
-/// A budget for sweep experiments, tunable via the `CTJAM_TRAIN_SLOTS`
-/// and `CTJAM_EVAL_SLOTS` environment variables so figure reproduction
-/// can trade fidelity for wall-clock time.
+/// A budget for sweep experiments: training and evaluation slots per
+/// data point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepBudget {
     /// Training slots per data point.
@@ -519,23 +464,6 @@ impl Default for SweepBudget {
         SweepBudget {
             train_slots: 12_000,
             eval_slots: 20_000,
-        }
-    }
-}
-
-impl SweepBudget {
-    /// Reads the budget from the environment, falling back to defaults.
-    pub fn from_env() -> Self {
-        let parse = |key: &str, default: usize| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        let d = SweepBudget::default();
-        SweepBudget {
-            train_slots: parse("CTJAM_TRAIN_SLOTS", d.train_slots),
-            eval_slots: parse("CTJAM_EVAL_SLOTS", d.eval_slots),
         }
     }
 }
@@ -667,50 +595,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.success_rate(), y.success_rate());
         }
-    }
-
-    #[test]
-    fn train_until_stops_on_budget_or_threshold() {
-        let params = EnvParams::default();
-        let mut r = rng(5);
-        // Impossible threshold: must exhaust the budget.
-        let mut d = crate::defender::DqnDefender::small_for_tests(&params, &mut r);
-        let curve = train_until(&params, &mut d, 600, 200, 1.0, &mut r);
-        assert!(!curve.converged);
-        assert_eq!(curve.slots_used, 600);
-        assert_eq!(curve.window_rewards.len(), 3);
-
-        // Trivial threshold (rewards are ≤ 0 but > −10_000): stops after
-        // the first window.
-        let mut d = crate::defender::DqnDefender::small_for_tests(&params, &mut r);
-        let curve = train_until(&params, &mut d, 600, 200, -10_000.0, &mut r);
-        assert!(curve.converged);
-        assert_eq!(curve.slots_used, 200);
-    }
-
-    #[test]
-    fn train_until_produces_a_useful_policy() {
-        // The Eq. (5) reward of a trained policy hovers near the
-        // always-hop cost, so the *curve* is flat-ish; the meaningful
-        // outcome is that the trained policy transmits successfully.
-        let params = EnvParams::default();
-        let mut r = rng(6);
-        let mut d = crate::defender::DqnDefender::small_for_tests(&params, &mut r);
-        let curve = train_until(&params, &mut d, 8_000, 1_000, 0.0, &mut r);
-        assert!(curve.slots_used <= 8_000);
-        assert!(!curve.window_rewards.is_empty());
-        d.set_training(false);
-        let st = evaluate(&params, &mut d, 3_000, &mut r)
-            .metrics
-            .success_rate();
-        assert!(st > 0.4, "trained ST too low: {st}");
-    }
-
-    #[test]
-    fn budget_from_env_falls_back_to_defaults() {
-        // (Does not set the variables; just exercises the fallback path.)
-        let b = SweepBudget::from_env();
-        assert!(b.train_slots > 0 && b.eval_slots > 0);
     }
 
     #[test]

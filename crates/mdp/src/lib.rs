@@ -3,9 +3,8 @@
 //! Implements the paper's §III model and analysis:
 //!
 //! * [`mdp`] — a validated tabular finite MDP ([`mdp::TabularMdp`]) with a
-//!   builder.
-//! * [`solve`] — value iteration, policy iteration, and tabular
-//!   Q-learning. Value iteration is the Banach fixed-point construction
+//!   builder and a transition sampler.
+//! * [`solve`] — value iteration, the Banach fixed-point construction
 //!   behind the paper's Theorem III.1 (existence of optimal policies).
 //! * [`antijam`] — the anti-jamming MDP of Eqs. (3)–(14): states
 //!   `{1..⌈K/m⌉−1, TJ, J}`, actions `{stay, hop} × power levels`, the

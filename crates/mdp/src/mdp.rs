@@ -1,5 +1,6 @@
 //! A validated tabular finite MDP.
 
+use rand::Rng;
 use std::fmt;
 
 /// Error from building an invalid MDP.
@@ -153,6 +154,30 @@ impl TabularMdp {
             .iter()
             .map(|t| t.prob * (t.reward + gamma * v[t.next]))
             .sum()
+    }
+
+    /// Samples one transition of `(state, action)` with a single uniform
+    /// draw from `rng`, returning `(next_state, reward)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn sample_transition<R: Rng + ?Sized>(
+        &self,
+        state: usize,
+        action: usize,
+        rng: &mut R,
+    ) -> (usize, f64) {
+        let mut u: f64 = rng.gen_range(0.0..1.0);
+        let transitions = self.transitions(state, action);
+        for t in transitions {
+            if u < t.prob {
+                return (t.next, t.reward);
+            }
+            u -= t.prob;
+        }
+        let last = transitions.last().expect("validated mdp has transitions");
+        (last.next, last.reward)
     }
 }
 
@@ -381,5 +406,24 @@ mod tests {
         let v = vec![10.0, 20.0];
         // Q(0, 1) = 1 + 0.9 * 20 = 19.
         assert!((mdp.q_value(0.9, &v, 0, 1) - 19.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sampling_respects_distribution() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mdp = MdpBuilder::new(2, 1)
+            .transition(0, 0, 0, 0.25, 0.0)
+            .transition(0, 0, 1, 0.75, 1.0)
+            .transition(1, 0, 1, 1.0, 0.0)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let n = 40_000;
+        let ones = (0..n)
+            .filter(|_| mdp.sample_transition(0, 0, &mut rng).0 == 1)
+            .count();
+        let frac = ones as f64 / n as f64;
+        assert!((frac - 0.75).abs() < 0.01, "frac = {frac}");
     }
 }

@@ -1,15 +1,7 @@
-//! Solvers for finite MDPs.
-//!
-//! * [`value_iteration`] — the Banach fixed-point construction of the
-//!   paper's Theorem III.1 and Appendix.
-//! * [`policy_iteration`] — Howard's algorithm; agrees with value
-//!   iteration and usually converges in a handful of sweeps.
-//! * [`q_learning`] — model-free tabular learning against a sampled
-//!   model; the stepping stone between the exact MDP solution and the
-//!   paper's DQN.
+//! The finite-MDP solver: [`value_iteration`], the Banach fixed-point
+//! construction of the paper's Theorem III.1 and Appendix. The crate's
+//! tests cross-check it against policy iteration.
 
-pub mod policy_iteration;
-pub mod q_learning;
 pub mod value_iteration;
 
 /// A solved MDP: optimal values, action values, and a greedy policy.

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod control;
-pub mod crypto;
 pub mod fcs;
 pub mod frame;
 pub mod goodput;

@@ -6,13 +6,13 @@
 //! implements exactly what the DQN requires, from scratch:
 //!
 //! * [`matrix`] — a row-major `f64` matrix with the handful of ops
-//!   backprop needs, including blocked matrix–matrix products.
+//!   backprop needs, plus the register-tiled GEMM kernels.
 //! * [`batch`] — a packed row-major minibatch and the batched
 //!   linear-algebra kernels (bit-exact with the per-sample path).
 //! * [`activation`] — ReLU and identity activations with derivatives.
-//! * [`loss`] — mean-squared error and Huber loss.
-//! * [`optimizer`] — SGD and Adam.
-//! * [`mlp`] — the multi-layer perceptron with exact backpropagation.
+//! * [`optimizer`] — the [`optimizer::Optimizer`] trait and Adam.
+//! * [`mlp`] — the multi-layer perceptron with exact backpropagation of
+//!   the mean squared error.
 //! * [`serialize`] — weight (de)serialization and the parameter/memory
 //!   accounting the paper reports (10 664 floats ≈ 42.7 KB).
 //!
@@ -48,7 +48,6 @@
 
 pub mod activation;
 pub mod batch;
-pub mod loss;
 pub mod matrix;
 pub mod mlp;
 pub mod optimizer;

@@ -144,58 +144,6 @@ impl Matrix {
         }
     }
 
-    /// Blocked matrix–matrix product `A·B`.
-    ///
-    /// Each output element accumulates over `k` in ascending order — the
-    /// same order as [`Matrix::mul_vec_transposed`] — so batched and
-    /// per-sample paths agree bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        gemm_nn_into(
-            &self.data,
-            self.rows,
-            self.cols,
-            &rhs.data,
-            rhs.cols,
-            &mut out.data,
-        );
-        out
-    }
-
-    /// Blocked/register-tiled product with a transposed right-hand side,
-    /// `A·Bᵀ` (both operands row-major, both traversed contiguously).
-    ///
-    /// Each output element is a plain ascending-`k` dot product — the
-    /// same accumulation order as [`Matrix::mul_vec`] row by row — so the
-    /// result is bit-identical to the per-row path. The tiling only
-    /// interleaves *independent* dot products for instruction-level
-    /// parallelism; it never reorders a single sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_transposed(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.cols, "dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        let mut pack = Vec::new();
-        gemm_nt_into(
-            &self.data,
-            self.rows,
-            &rhs.data,
-            rhs.rows,
-            self.cols,
-            None,
-            &mut pack,
-            &mut out.data,
-        );
-        out
-    }
-
     /// Fills the matrix with zeros in place.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
@@ -459,29 +407,58 @@ mod tests {
         assert!(g.as_slice().iter().all(|&v| v == 0.0));
     }
 
-    #[test]
-    fn matmul_matches_hand_result() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+    /// `A·B` through [`gemm_nn_into`].
+    fn nn(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        gemm_nn_into(
+            a.as_slice(),
+            a.rows(),
+            a.cols(),
+            b.as_slice(),
+            b.cols(),
+            out.as_mut_slice(),
+        );
+        out
+    }
+
+    /// `A·Bᵀ` through [`gemm_nt_into`].
+    fn nt(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        gemm_nt_into(
+            a.as_slice(),
+            a.rows(),
+            b.as_slice(),
+            b.rows(),
+            a.cols(),
+            None,
+            &mut Vec::new(),
+            out.as_mut_slice(),
+        );
+        out
     }
 
     #[test]
-    fn matmul_transposed_equals_explicit_transpose() {
+    fn gemm_nn_matches_hand_result() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        assert_eq!(nn(&a, &b).as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+    }
+
+    #[test]
+    fn gemm_nt_equals_gemm_nn_on_the_explicit_transpose() {
         // Shapes larger than the register tile so both the tiled body and
         // the remainder path run.
         let a = Matrix::from_fn(5, 11, |r, c| ((r * 13 + c * 7) as f64 * 0.3).sin());
         let b = Matrix::from_fn(19, 11, |r, c| ((r * 5 + c * 3) as f64 * 0.7).cos());
         let bt = Matrix::from_fn(11, 19, |r, c| b[(c, r)]);
-        assert_eq!(a.matmul_transposed(&b), a.matmul(&bt));
+        assert_eq!(nt(&a, &b), nn(&a, &bt));
     }
 
     #[test]
-    fn matmul_transposed_rows_are_bit_exact_with_mul_vec() {
+    fn gemm_nt_rows_are_bit_exact_with_mul_vec() {
         let a = Matrix::from_fn(4, 9, |r, c| ((r * 31 + c) as f64 * 0.11).sin());
         let b = Matrix::from_fn(21, 9, |r, c| ((r * 17 + c * 2) as f64 * 0.13).cos());
-        let c = a.matmul_transposed(&b);
+        let c = nt(&a, &b);
         for s in 0..a.rows() {
             let row: Vec<f64> = (0..a.cols()).map(|j| a[(s, j)]).collect();
             let want = b.mul_vec(&row);
@@ -491,10 +468,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_rows_are_bit_exact_with_mul_vec_transposed() {
+    fn gemm_nn_rows_are_bit_exact_with_mul_vec_transposed() {
         let a = Matrix::from_fn(3, 14, |r, c| ((r * 7 + c * 5) as f64 * 0.19).sin());
         let b = Matrix::from_fn(14, 6, |r, c| ((r * 3 + c * 11) as f64 * 0.23).cos());
-        let c = a.matmul(&b);
+        let c = nn(&a, &b);
         for s in 0..a.rows() {
             let row: Vec<f64> = (0..a.cols()).map(|j| a[(s, j)]).collect();
             let want = b.mul_vec_transposed(&row);
@@ -510,12 +487,6 @@ mod tests {
         let mut out = vec![f64::NAN; 5 * 25];
         gemm_nn_into(&[], 5, 0, &[], 25, &mut out);
         assert!(out.iter().all(|&v| v == 0.0), "a_cols = 0 must write zeros");
-    }
-
-    #[test]
-    #[should_panic]
-    fn matmul_dimension_mismatch_panics() {
-        Matrix::zeros(2, 3).matmul(&Matrix::zeros(2, 3));
     }
 
     #[test]

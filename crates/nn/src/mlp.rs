@@ -1,13 +1,16 @@
-//! The multi-layer perceptron with exact backpropagation.
+//! The multi-layer perceptron with exact backpropagation of the mean
+//! squared error.
 //!
-//! Two equivalent training paths exist:
+//! Two equivalent gradient paths exist:
 //!
 //! * the **per-sample** path ([`Mlp::forward`], [`Mlp::loss_and_gradient`],
-//!   [`Mlp::train_batch`]) — simple, allocation-per-call;
-//! * the **batched** path ([`Mlp::forward_batch`],
-//!   [`Mlp::loss_and_gradient_batch`], [`Mlp::train_minibatch`]) — one
-//!   packed [`Batch`] per layer, reusable [`BatchScratch`] buffers, and
-//!   blocked matrix–matrix kernels.
+//!   [`Mlp::train_batch`]) — simple, allocation-per-call, and the
+//!   reference the batched path is tested against;
+//! * the **batched** path ([`Mlp::forward_batch`], [`Mlp::backward_batch`],
+//!   [`Mlp::loss_and_gradient_batch`]) — one packed [`Batch`] per layer,
+//!   reusable [`BatchScratch`] buffers, and blocked matrix–matrix
+//!   kernels. The DQN trains on it, stepping an [`Optimizer`] over
+//!   [`Mlp::flatten_params_into`] and [`Mlp::set_params`].
 //!
 //! The two paths are **bit-exact**: every dot product accumulates in the
 //! same order, so swapping one for the other cannot perturb a single
@@ -15,7 +18,6 @@
 
 use crate::activation::Activation;
 use crate::batch::Batch;
-use crate::loss::Loss;
 use crate::matrix::{gemm_tn_scaled_into, Matrix};
 use crate::optimizer::Optimizer;
 use rand::Rng;
@@ -112,7 +114,6 @@ impl DenseLayer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
-    loss: Loss,
 }
 
 /// Builder for [`Mlp`].
@@ -131,7 +132,6 @@ pub struct Mlp {
 #[derive(Debug, Clone)]
 pub struct MlpBuilder {
     sizes: Vec<usize>,
-    loss: Loss,
 }
 
 impl MlpBuilder {
@@ -142,10 +142,7 @@ impl MlpBuilder {
     /// Panics if `input == 0`.
     pub fn new(input: usize) -> Self {
         assert!(input > 0, "input width must be positive");
-        MlpBuilder {
-            sizes: vec![input],
-            loss: Loss::Mse,
-        }
+        MlpBuilder { sizes: vec![input] }
     }
 
     /// Appends a ReLU hidden layer of `width` units.
@@ -160,13 +157,6 @@ impl MlpBuilder {
         self
     }
 
-    /// Selects the training loss (default MSE).
-    #[must_use]
-    pub fn loss(mut self, loss: Loss) -> Self {
-        self.loss = loss;
-        self
-    }
-
     /// Appends the linear output layer and finalizes the architecture.
     ///
     /// # Panics
@@ -176,10 +166,7 @@ impl MlpBuilder {
     pub fn output(mut self, width: usize) -> MlpFinal {
         assert!(width > 0, "output width must be positive");
         self.sizes.push(width);
-        MlpFinal {
-            sizes: self.sizes,
-            loss: self.loss,
-        }
+        MlpFinal { sizes: self.sizes }
     }
 }
 
@@ -187,7 +174,6 @@ impl MlpBuilder {
 #[derive(Debug, Clone)]
 pub struct MlpFinal {
     sizes: Vec<usize>,
-    loss: Loss,
 }
 
 impl MlpFinal {
@@ -204,10 +190,7 @@ impl MlpFinal {
                 DenseLayer::init(self.sizes[i], self.sizes[i + 1], activation, rng)
             })
             .collect();
-        Mlp {
-            layers,
-            loss: self.loss,
-        }
+        Mlp { layers }
     }
 }
 
@@ -235,11 +218,6 @@ impl Mlp {
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(DenseLayer::param_count).sum()
-    }
-
-    /// The training loss in force.
-    pub fn loss(&self) -> Loss {
-        self.loss
     }
 
     /// The layers, in order.
@@ -346,13 +324,13 @@ impl Mlp {
             assert_eq!(t.len(), self.output_size(), "target width mismatch");
             let (activations, preacts) = self.forward_trace(x);
             let prediction = activations.last().expect("output exists");
-            total_loss += self.loss.mean(prediction, t);
+            total_loss += mean_squared_error(prediction, t);
 
             // dL/da at the output (per-sample loss is the mean over dims).
             let mut delta: Vec<f64> = prediction
                 .iter()
                 .zip(t)
-                .map(|(&p, &y)| self.loss.gradient(p, y) / out_dim)
+                .map(|(&p, &y)| squared_error_gradient(p, y) / out_dim)
                 .collect();
 
             for l in (0..self.layers.len()).rev() {
@@ -498,8 +476,9 @@ impl Mlp {
                 }
                 for (k, (p, y, z)) in entries.enumerate() {
                     if is_live(p, y, z) {
-                        row_loss += self.loss.value(p, y);
-                        let d = self.loss.gradient(p, y) / out_dim * layer.activation.derivative(z);
+                        row_loss += squared_error(p, y);
+                        let d =
+                            squared_error_gradient(p, y) / out_dim * layer.activation.derivative(z);
                         scratch.live.push((s, c * LIVE_SCAN + k, d));
                     }
                 }
@@ -596,27 +575,28 @@ impl Mlp {
         self.forward_batch(x, scratch);
         self.backward_batch(targets, scratch)
     }
+}
 
-    /// One optimization step on a packed minibatch; returns the
-    /// pre-update mean loss. Bit-exact with [`Mlp::train_batch`] on the
-    /// same pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty batch or mismatched widths.
-    pub fn train_minibatch<O: Optimizer>(
-        &mut self,
-        x: &Batch,
-        targets: &Batch,
-        scratch: &mut BatchScratch,
-        opt: &mut O,
-    ) -> f64 {
-        let (loss, _) = self.loss_and_gradient_batch(x, targets, scratch);
-        self.flatten_params_into(&mut scratch.params);
-        opt.step(&mut scratch.params, &scratch.flat);
-        self.set_params(&scratch.params);
-        loss
-    }
+/// The squared error `(p − y)²` of one output entry.
+fn squared_error(p: f64, y: f64) -> f64 {
+    let e = p - y;
+    e * e
+}
+
+/// `d(p − y)²/dp = 2·(p − y)`.
+fn squared_error_gradient(p: f64, y: f64) -> f64 {
+    let e = p - y;
+    2.0 * e
+}
+
+/// The squared error averaged over a sample's outputs.
+fn mean_squared_error(predictions: &[f64], targets: &[f64]) -> f64 {
+    predictions
+        .iter()
+        .zip(targets)
+        .map(|(&p, &y)| squared_error(p, y))
+        .sum::<f64>()
+        / predictions.len() as f64
 }
 
 /// Output entries per branch-free test in [`Mlp::backward_batch`]'s scan
@@ -633,10 +613,9 @@ fn is_live(p: f64, y: f64, z: f64) -> bool {
 
 /// Reusable buffers for the batched forward/backward path: layer
 /// activations and pre-activations for a whole minibatch, the backward
-/// pass's per-layer terms, and the flattened gradient/parameter vectors.
+/// pass's per-layer terms, and the flattened gradient.
 /// Create one per network with [`BatchScratch::for_network`] and reuse it
-/// across training steps — after warm-up no path through
-/// [`Mlp::train_minibatch`] allocates.
+/// across training steps — after warm-up neither pass allocates.
 #[derive(Debug, Clone)]
 pub struct BatchScratch {
     /// `activations[0]` is the input batch, `activations[l + 1]` the
@@ -652,7 +631,6 @@ pub struct BatchScratch {
     /// contribute to a gradient or delta product.
     live: Vec<(usize, usize, f64)>,
     flat: Vec<f64>,
-    params: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -672,7 +650,6 @@ impl BatchScratch {
             dz: Batch::default(),
             live: Vec::new(),
             flat: Vec::new(),
-            params: Vec::new(),
         }
     }
 
@@ -694,7 +671,7 @@ impl BatchScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::Adam;
+    use crate::optimizer::{Adam, Optimizer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -795,26 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn huber_loss_trains_too() {
-        let mut net = MlpBuilder::new(2)
-            .hidden(8)
-            .loss(Loss::Huber { delta: 1.0 })
-            .output(1)
-            .build(&mut rng());
-        let mut adam = Adam::with_learning_rate(0.02);
-        let xs = [[0.0, 1.0], [1.0, 0.0]];
-        let ys = [[1.0], [-1.0]];
-        let batch: Vec<(&[f64], &[f64])> =
-            xs.iter().zip(&ys).map(|(x, y)| (&x[..], &y[..])).collect();
-        let initial = net.train_batch(&batch, &mut adam);
-        let mut last = initial;
-        for _ in 0..800 {
-            last = net.train_batch(&batch, &mut adam);
-        }
-        assert!(last < initial / 5.0);
-    }
-
-    #[test]
     fn forward_batch_is_bit_exact_with_per_sample() {
         let net = MlpBuilder::new(5)
             .hidden(9)
@@ -893,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn train_minibatch_is_bit_exact_with_train_batch() {
+    fn batched_steps_are_bit_exact_with_train_batch() {
         let mut per_sample = MlpBuilder::new(3).hidden(8).output(2).build(&mut rng());
         let mut batched = per_sample.clone();
         let xs: Vec<Vec<f64>> = (0..5)
@@ -912,12 +869,43 @@ mod tests {
         let mut adam_a = Adam::with_learning_rate(0.01);
         let mut adam_b = Adam::with_learning_rate(0.01);
         let mut scratch = BatchScratch::for_network(&batched);
+        let mut params = Vec::new();
         for _ in 0..25 {
             let la = per_sample.train_batch(&pairs, &mut adam_a);
-            let lb = batched.train_minibatch(&x, &t, &mut scratch, &mut adam_b);
+            // The DQN's step: batched gradient, then Adam on the flat
+            // parameters.
+            let (lb, grads) = batched.loss_and_gradient_batch(&x, &t, &mut scratch);
+            let grads = grads.to_vec();
+            batched.flatten_params_into(&mut params);
+            adam_b.step(&mut params, &grads);
+            batched.set_params(&params);
             assert_eq!(la, lb);
         }
         assert_eq!(per_sample.flatten_params(), batched.flatten_params());
+    }
+
+    #[test]
+    fn mse_basics() {
+        assert_eq!(squared_error(3.0, 1.0), 4.0);
+        assert_eq!(squared_error_gradient(3.0, 1.0), 4.0);
+        assert_eq!(squared_error(1.0, 1.0), 0.0);
+    }
+
+    #[test]
+    fn mse_gradient_matches_finite_differences() {
+        let eps = 1e-7;
+        for (p, t) in [(0.3, 0.0), (2.0, -1.0), (-3.0, 0.5)] {
+            let numeric = (squared_error(p + eps, t) - squared_error(p - eps, t)) / (2.0 * eps);
+            assert!(
+                (squared_error_gradient(p, t) - numeric).abs() < 1e-5,
+                "at ({p}, {t})"
+            );
+        }
+    }
+
+    #[test]
+    fn mean_averages() {
+        assert_eq!(mean_squared_error(&[1.0, 3.0], &[1.0, 1.0]), 2.0);
     }
 
     #[test]

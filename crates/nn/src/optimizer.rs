@@ -1,46 +1,5 @@
-//! First-order optimizers operating on flat parameter vectors.
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Optional momentum coefficient (0 disables).
-    pub momentum: f64,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no momentum.
-    pub fn with_learning_rate(learning_rate: f64) -> SgdState {
-        SgdState {
-            config: Sgd {
-                learning_rate,
-                momentum: 0.0,
-            },
-            velocity: Vec::new(),
-        }
-    }
-}
-
-/// SGD with its momentum buffer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SgdState {
-    config: Sgd,
-    velocity: Vec<f64>,
-}
-
-impl SgdState {
-    /// Creates SGD with momentum.
-    pub fn with_momentum(learning_rate: f64, momentum: f64) -> Self {
-        SgdState {
-            config: Sgd {
-                learning_rate,
-                momentum,
-            },
-            velocity: Vec::new(),
-        }
-    }
-}
+//! The [`Optimizer`] trait and [`Adam`], operating on flat parameter
+//! vectors.
 
 /// Adam's first-moment decay `β₁`.
 const BETA1: f64 = 0.9;
@@ -134,30 +93,6 @@ pub trait Optimizer {
     fn step(&mut self, params: &mut [f64], grads: &[f64]);
 }
 
-impl Optimizer for SgdState {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "parameter/gradient mismatch");
-        if self.config.momentum == 0.0 {
-            for (p, g) in params.iter_mut().zip(grads) {
-                *p -= self.config.learning_rate * g;
-            }
-            return;
-        }
-        if self.velocity.is_empty() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "optimizer reuse across networks"
-        );
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            *v = self.config.momentum * *v + g;
-            *p -= self.config.learning_rate * *v;
-        }
-    }
-}
-
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "parameter/gradient mismatch");
@@ -239,18 +174,6 @@ mod tests {
             opt.step(&mut x, &g);
         }
         x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::with_learning_rate(0.1);
-        assert!((minimize(&mut sgd, 200) - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let mut sgd = SgdState::with_momentum(0.02, 0.9);
-        assert!((minimize(&mut sgd, 500) - 3.0).abs() < 1e-4);
     }
 
     #[test]

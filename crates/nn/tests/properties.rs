@@ -1,7 +1,6 @@
 //! Property-based tests for the neural-network substrate.
 
 use ctjam_nn::batch::Batch;
-use ctjam_nn::loss::Loss;
 use ctjam_nn::matrix::{gemm_tn_scaled_into, Matrix};
 use ctjam_nn::mlp::{BatchScratch, MlpBuilder};
 use ctjam_nn::serialize::{from_bytes, to_bytes};
@@ -36,12 +35,16 @@ proptest! {
     }
 
     #[test]
-    fn loss_nonnegative_and_zero_at_target(p in -10.0f64..10.0, delta in 0.1f64..5.0) {
-        for loss in [Loss::Mse, Loss::Huber { delta }] {
-            prop_assert!(loss.value(p, p) == 0.0);
-            prop_assert!(loss.value(p, 0.0) >= 0.0);
-            prop_assert!(loss.gradient(p, p) == 0.0);
-        }
+    fn loss_nonnegative_and_zero_at_target(seed in any::<u64>(), t in -10.0f64..10.0) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = MlpBuilder::new(2).hidden(3).output(2).build(&mut rng);
+        let x = [0.5, -0.25];
+        let at_target = net.forward(&x);
+        let (loss, grad) = net.loss_and_gradient(&[(&x[..], &at_target[..])]);
+        prop_assert!(loss == 0.0);
+        prop_assert!(grad.iter().all(|&g| g == 0.0));
+        let (loss, _) = net.loss_and_gradient(&[(&x[..], &[t, 0.0][..])]);
+        prop_assert!(loss >= 0.0);
     }
 
     #[test]
@@ -199,17 +202,10 @@ proptest! {
         h2 in 1usize..10,
         out in 1usize..=48,
         rows in 1usize..17,
-        huber in any::<bool>(),
         shape in (0u8..3).prop_map(Targets::from),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let builder = MlpBuilder::new(input).hidden(h1).hidden(h2);
-        let builder = if huber {
-            builder.loss(Loss::Huber { delta: 1.0 })
-        } else {
-            builder
-        };
-        let net = builder.output(out).build(&mut rng);
+        let net = MlpBuilder::new(input).hidden(h1).hidden(h2).output(out).build(&mut rng);
 
         let mut xs: Vec<Vec<f64>> = (0..rows)
             .map(|_| (0..input).map(|_| rng.gen_range(-1.5..1.5)).collect())

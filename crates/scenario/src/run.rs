@@ -13,7 +13,7 @@ use crate::schema::{Campaign, Field, LinkSweep, Sweep};
 use ctjam_channel::link::LinkReport;
 use ctjam_core::adversary::JammerMode;
 use ctjam_core::defender::{DqnDefender, NoDefense};
-use ctjam_core::field::{FieldConfig, FieldExperiment, FieldReport};
+use ctjam_core::field::{FieldConfig, FieldEnv, GoodputMeter};
 use ctjam_core::metrics::Metrics;
 use ctjam_core::runner::{capture_sweep, RunBuilder};
 use ctjam_dqn::checkpoint;
@@ -131,16 +131,17 @@ pub fn run_sweep(
 pub struct FieldRow {
     /// Tx/Jx slot duration, seconds.
     pub duration_s: f64,
-    /// The defended, jammed run.
-    pub report: FieldReport,
-    /// The no-jammer, no-defense reference run.
-    pub reference: FieldReport,
+    /// Goodput of the defended, jammed run.
+    pub goodput: GoodputMeter,
+    /// Goodput of the no-jammer, no-defense reference run.
+    pub reference: GoodputMeter,
 }
 
 /// Runs a `field` scenario. RNG discipline: one `StdRng` seeded from
 /// the scenario seed drives defender init, training, and both
 /// experiments per duration in order — exactly the historical `fig10`
 /// loop, so the numbers are bit-identical to the pre-migration bin.
+/// Each duration runs a fresh clone of the trained defender.
 pub fn run_field(scenario: &Field) -> Vec<FieldRow> {
     let base = scenario.config();
     let mut rng = StdRng::seed_from_u64(scenario.seed);
@@ -155,20 +156,30 @@ pub fn run_field(scenario: &Field) -> Vec<FieldRow> {
             jx_slot_s: duration,
             ..base.clone()
         };
-        let mut experiment = FieldExperiment::new(config.clone(), defender.clone(), &mut rng);
-        let report = experiment.run(scenario.slots, &mut rng);
+        let mut env = FieldEnv::new(config.clone(), &mut rng);
+        RunBuilder::new(&config.env).run_in(
+            &mut env,
+            &mut defender.clone(),
+            scenario.slots,
+            &mut rng,
+        );
 
         let reference_config = FieldConfig {
             jammer_enabled: false,
             ..config
         };
-        let reference = NoDefense::new(&reference_config.env, &mut rng);
-        let mut reference_exp = FieldExperiment::new(reference_config, reference, &mut rng);
-        let reference_report = reference_exp.run(scenario.slots, &mut rng);
+        let mut reference = NoDefense::new(&reference_config.env, &mut rng);
+        let mut reference_env = FieldEnv::new(reference_config.clone(), &mut rng);
+        RunBuilder::new(&reference_config.env).run_in(
+            &mut reference_env,
+            &mut reference,
+            scenario.slots,
+            &mut rng,
+        );
         rows.push(FieldRow {
             duration_s: duration,
-            report,
-            reference: reference_report,
+            goodput: env.goodput(),
+            reference: reference_env.goodput(),
         });
     }
     rows

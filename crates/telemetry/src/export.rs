@@ -1,11 +1,6 @@
-//! JSON-lines and CSV exporters for [`MemorySink`] recordings.
+//! Export helpers: RFC 4180 CSV field escaping and histogram JSON.
 
 use crate::json::JsonValue;
-use crate::sink::MemorySink;
-use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// Escapes one CSV field per RFC 4180: a field containing a comma,
 /// double quote, or line break is wrapped in double quotes with embedded
@@ -28,90 +23,12 @@ pub fn csv_field(field: &str) -> std::borrow::Cow<'_, str> {
     }
 }
 
-/// Render recorded slot events as CSV (header + one row per slot).
-pub fn slots_csv(sink: &MemorySink) -> String {
-    let mut out = String::from(
-        "slot,channel,power_level,hopped,power_control,outcome,jammer_on_channel,reward\n",
-    );
-    for e in &sink.slots {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{}",
-            e.slot,
-            e.channel,
-            e.power_level,
-            e.hopped as u8,
-            e.power_control as u8,
-            csv_field(e.outcome.label()),
-            e.jammer_on_channel as u8,
-            e.reward,
-        );
-    }
-    out
-}
-
-/// Render recorded training events as CSV.
-pub fn trains_csv(sink: &MemorySink) -> String {
-    let mut out = String::from("step,loss,epsilon,replay_len,replay_capacity\n");
-    for e in &sink.trains {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{}",
-            e.step,
-            e.loss.map_or(String::new(), |l| l.to_string()),
-            e.epsilon,
-            e.replay_len,
-            e.replay_capacity,
-        );
-    }
-    out
-}
-
-/// Render recorded slot events as JSON lines (one compact object per slot).
-pub fn slots_jsonl(sink: &MemorySink) -> String {
-    let mut out = String::new();
-    for e in &sink.slots {
-        let mut obj = JsonValue::object();
-        obj.set("slot", e.slot)
-            .set("channel", e.channel as u64)
-            .set("power_level", e.power_level as u64)
-            .set("hopped", e.hopped)
-            .set("power_control", e.power_control)
-            .set("outcome", e.outcome.label())
-            .set("jammer_on_channel", e.jammer_on_channel)
-            .set("reward", e.reward);
-        out.push_str(&obj.to_string_compact());
-        out.push('\n');
-    }
-    out
-}
-
-/// Counters + histogram moments as a single JSON object — the run's summary.
-pub fn summary_json(sink: &MemorySink) -> JsonValue {
-    let mut counters = JsonValue::object();
-    for c in &sink.counters {
-        counters.set(c.name, c.value);
-    }
-    let mut scalars = JsonValue::object();
-    for (name, value) in &sink.scalars {
-        scalars.set(name, *value);
-    }
-    let mut obj = JsonValue::object();
-    obj.set("slots", sink.slots.len())
-        .set("train_steps", sink.trains.len())
-        .set("counters", counters)
-        .set("scalars", scalars)
-        .set("reward", histogram_json(&sink.reward_hist))
-        .set("loss", histogram_json(&sink.loss_hist));
-    obj
-}
-
 /// One histogram as a JSON object: exact moments (`count`/`mean`/`min`/
 /// `max`), the binned shape (`bins`/`underflow`/`overflow`), and
 /// reconstructed `p50`/`p95`/`p99` percentile summaries (see
 /// [`crate::stats::Histogram::percentile`] for accuracy bounds). Shared
-/// by the run summary above and by downstream latency exports such as
-/// the `ctjam-serve` metrics snapshot.
+/// by [`crate::ShardSink::to_json`] and by downstream latency exports
+/// such as the `ctjam-serve` metrics snapshot.
 pub fn histogram_json(h: &crate::stats::Histogram) -> JsonValue {
     let mut obj = JsonValue::object();
     obj.set("count", h.count())
@@ -130,59 +47,9 @@ pub fn histogram_json(h: &crate::stats::Histogram) -> JsonValue {
     obj
 }
 
-/// Write the full recording (`<stem>.slots.csv`, `<stem>.train.csv`,
-/// `<stem>.summary.json`) into `dir`, creating it if needed.
-pub fn write_all(sink: &MemorySink, dir: &Path, stem: &str) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    fs::write(dir.join(format!("{stem}.slots.csv")), slots_csv(sink))?;
-    fs::write(dir.join(format!("{stem}.train.csv")), trains_csv(sink))?;
-    fs::write(
-        dir.join(format!("{stem}.summary.json")),
-        summary_json(sink).to_string_pretty(),
-    )?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{SlotEvent, SlotOutcome, TrainEvent};
-    use crate::sink::EventSink;
-
-    fn sample_sink() -> MemorySink {
-        let mut sink = MemorySink::new();
-        sink.record_slot(&SlotEvent {
-            slot: 0,
-            channel: 11,
-            power_level: 1,
-            hopped: true,
-            power_control: false,
-            outcome: SlotOutcome::Hopped,
-            jammer_on_channel: false,
-            reward: -1.5,
-        });
-        sink.record_train(&TrainEvent {
-            step: 0,
-            loss: Some(0.25),
-            epsilon: 0.9,
-            replay_len: 10,
-            replay_capacity: 64,
-        });
-        sink.record_scalar("goodput_kbps", 42.0);
-        sink
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let sink = sample_sink();
-        let csv = slots_csv(&sink);
-        let mut lines = csv.lines();
-        assert!(lines.next().unwrap().starts_with("slot,channel"));
-        assert_eq!(lines.next().unwrap(), "0,11,1,1,0,hopped,0,-1.5");
-        assert!(lines.next().is_none());
-        assert!(trains_csv(&sink).contains("0,0.25,0.9,10,64"));
-    }
-
     /// Minimal RFC-4180 reader for the round-trip test: splits one
     /// record's fields, honoring quoted fields and doubled quotes.
     fn parse_csv_record(record: &str) -> Vec<String> {
@@ -232,30 +99,10 @@ mod tests {
 
     #[test]
     fn plain_fields_are_not_quoted() {
-        // The exporters rely on benign labels staying byte-identical so
-        // existing downstream readers (and the golden row test above)
-        // keep working.
+        // Benign labels and numbers must stay byte-identical so existing
+        // downstream readers of the figure CSVs keep working.
         assert_eq!(csv_field("hopped"), "hopped");
         assert_eq!(csv_field("-1.5"), "-1.5");
-    }
-
-    #[test]
-    fn jsonl_one_line_per_slot() {
-        let sink = sample_sink();
-        let jsonl = slots_jsonl(&sink);
-        assert_eq!(jsonl.lines().count(), 1);
-        assert!(jsonl.contains(r#""outcome":"hopped""#));
-    }
-
-    #[test]
-    fn summary_counts_and_scalars() {
-        let sink = sample_sink();
-        let summary = summary_json(&sink);
-        assert_eq!(summary.get("slots"), Some(&JsonValue::Num(1.0)));
-        let counters = summary.get("counters").unwrap();
-        assert_eq!(counters.get("hopped"), Some(&JsonValue::Num(1.0)));
-        let scalars = summary.get("scalars").unwrap();
-        assert_eq!(scalars.get("goodput_kbps"), Some(&JsonValue::Num(42.0)));
     }
 
     #[test]
@@ -277,19 +124,5 @@ mod tests {
         // the export stays strictly valid JSON.
         let empty = histogram_json(&crate::stats::Histogram::new("e", 0.0, 1.0, 2));
         assert!(empty.to_string_compact().contains("\"p50\":null"));
-    }
-
-    #[test]
-    fn write_all_creates_three_files() {
-        let dir = std::env::temp_dir().join("ctjam-telemetry-export-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        write_all(&sample_sink(), &dir, "unit").unwrap();
-        for suffix in ["slots.csv", "train.csv", "summary.json"] {
-            assert!(
-                dir.join(format!("unit.{suffix}")).exists(),
-                "{suffix} missing"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,8 +10,8 @@
 //! * [`SlotEvent`] / [`TrainEvent`] — structured per-slot and per-train-step
 //!   records: channel, power, defender action, jam outcome, reward, DQN loss,
 //!   exploration rate, replay occupancy.
-//! * [`MemorySink`] — an in-memory recorder with [`Counter`]s and
-//!   [`Histogram`]s plus JSON-lines and CSV exporters.
+//! * [`MemorySink`] — an in-memory recorder of every event, with
+//!   [`Counter`]s and [`Histogram`]s.
 //! * [`ShardSink`] — an O(1)-memory aggregate-only sink whose `merge` is
 //!   associative and commutative (exact summation via [`ExactSum`]), so
 //!   sharded campaign engines can fold per-worker telemetry in any order

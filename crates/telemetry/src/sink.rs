@@ -207,8 +207,9 @@ impl ShardSink {
         self.loss_hist.merge(&other.loss_hist);
     }
 
-    /// The aggregate as a JSON object with a fixed key order, mirroring
-    /// [`crate::export::summary_json`]'s layout (minus per-event data).
+    /// The aggregate as a JSON object with a fixed key order: slot and
+    /// train-step counts, the outcome and action counters, and the reward
+    /// and loss histograms.
     pub fn to_json(&self) -> crate::json::JsonValue {
         use crate::json::JsonValue;
         let mut counters = JsonValue::object();

@@ -9,14 +9,27 @@
 //! cargo run --release --example smart_warehouse
 //! ```
 
-use ctjam::core::defender::{DqnDefender, NoDefense, PassiveFh};
-use ctjam::core::field::{FieldConfig, FieldExperiment};
+use ctjam::core::defender::{Defender, DqnDefender, NoDefense, PassiveFh};
+use ctjam::core::field::{FieldConfig, FieldEnv, GoodputMeter};
 use ctjam::core::runner::RunBuilder;
 use ctjam::net::negotiation::mean_negotiation_s;
 use ctjam::net::timing::TimingModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::error::Error;
+
+/// Runs `defender` for `slots` Tx slots of a fresh field experiment and
+/// returns the packets the floor delivered.
+fn run_field<D: Defender>(
+    config: &FieldConfig,
+    mut defender: D,
+    slots: usize,
+    rng: &mut StdRng,
+) -> GoodputMeter {
+    let mut env = FieldEnv::new(config.clone(), rng);
+    RunBuilder::new(&config.env).run_in(&mut env, &mut defender, slots, rng);
+    env.goodput()
+}
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut rng = StdRng::seed_from_u64(99);
@@ -31,21 +44,20 @@ fn main() -> Result<(), Box<dyn Error>> {
         jammer_enabled: false,
         ..base.clone()
     };
-    let mut exp = FieldExperiment::new(
-        quiet.clone(),
+    let healthy = run_field(
+        &quiet,
         NoDefense::new(&quiet.env, &mut rng),
+        slots,
         &mut rng,
     );
-    let healthy = exp.run(slots, &mut rng);
     println!(
         "goodput {:.0} pkts/slot, slot utilization {:.1}%",
         healthy.packets_per_slot(),
-        100.0 * healthy.goodput.utilization()
+        100.0 * healthy.utilization()
     );
 
     println!("\n== Phase 1: the EmuBee jammer appears ==");
-    let mut exp = FieldExperiment::new(base.clone(), NoDefense::new(&base.env, &mut rng), &mut rng);
-    let attacked = exp.run(slots, &mut rng);
+    let attacked = run_field(&base, NoDefense::new(&base.env, &mut rng), slots, &mut rng);
     println!(
         "goodput collapses to {:.0} pkts/slot ({:.1}% of normal) — the static network is pinned",
         attacked.packets_per_slot(),
@@ -53,8 +65,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     println!("\n== Phase 2: ops enables the firmware's passive channel hopping ==");
-    let mut exp = FieldExperiment::new(base.clone(), PassiveFh::new(&base.env, &mut rng), &mut rng);
-    let passive = exp.run(slots, &mut rng);
+    let passive = run_field(&base, PassiveFh::new(&base.env, &mut rng), slots, &mut rng);
     println!(
         "goodput {:.0} pkts/slot ({:.1}% of normal) — better, but the stealthy jammer is detected late",
         passive.packets_per_slot(),
@@ -70,8 +81,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         defense.agent().network().param_count(),
         ctjam::nn::serialize::deployed_kb(defense.agent().network())
     );
-    let mut exp = FieldExperiment::new(base.clone(), defense, &mut rng);
-    let defended = exp.run(slots, &mut rng);
+    let defended = run_field(&base, defense, slots, &mut rng);
     println!(
         "goodput {:.0} pkts/slot ({:.1}% of normal) — {:.1}x the passive scheme",
         defended.packets_per_slot(),

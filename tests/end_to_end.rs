@@ -2,7 +2,7 @@
 
 use ctjam::core::defender::{DqnDefender, NoDefense, PassiveFh};
 use ctjam::core::env::EnvParams;
-use ctjam::core::field::{FieldConfig, FieldExperiment};
+use ctjam::core::field::{FieldConfig, FieldEnv};
 use ctjam::core::runner::RunBuilder;
 use ctjam::nn::serialize::{deployed_kb, from_bytes, to_bytes};
 use rand::rngs::StdRng;
@@ -74,24 +74,22 @@ fn field_experiment_defense_recovers_goodput() {
     let config = FieldConfig::default();
 
     // Undefended floor.
-    let mut undefended = FieldExperiment::new(
-        config.clone(),
-        NoDefense::new(&config.env, &mut rng),
-        &mut rng,
-    );
-    let floor = undefended.run(40, &mut rng);
+    let mut undefended = NoDefense::new(&config.env, &mut rng);
+    let mut floor = FieldEnv::new(config.clone(), &mut rng);
+    RunBuilder::new(&config.env).run_in(&mut floor, &mut undefended, 40, &mut rng);
 
     // Small trained DQN deployed into the field.
     let mut defense = DqnDefender::small_for_tests(&config.env, &mut rng);
     RunBuilder::new(&config.env).train(&mut defense, 6_000, &mut rng);
     defense.set_training(false);
-    let mut defended = FieldExperiment::new(config.clone(), defense, &mut rng);
-    let report = defended.run(40, &mut rng);
+    let mut defended = FieldEnv::new(config.clone(), &mut rng);
+    RunBuilder::new(&config.env).run_in(&mut defended, &mut defense, 40, &mut rng);
 
+    let (floor, defended) = (floor.goodput(), defended.goodput());
     assert!(
-        report.packets_per_slot() > 1.5 * floor.packets_per_slot(),
+        defended.packets_per_slot() > 1.5 * floor.packets_per_slot(),
         "defense {:.0} pkts/slot vs floor {:.0}",
-        report.packets_per_slot(),
+        defended.packets_per_slot(),
         floor.packets_per_slot()
     );
 }
