@@ -8,6 +8,15 @@
 //! queue is bounded — a push against a full queue fails immediately with
 //! [`PushError::Busy`] so backpressure reaches the client as a typed
 //! `ServerBusy` response instead of unbounded buffering.
+//!
+//! A push wakes the worker only when the worker can act on it: when it
+//! makes the queue non-empty (the worker may be in its untimed wait and
+//! must arm the deadline) and when it brings the queue to `max_batch`
+//! (the size trigger). Any other wake-up would find the batch still
+//! short of `max_batch` and go back to sleep, at the price of a futex
+//! call per request. A wake-up sent while the worker is busy flushing
+//! is not needed either: `next_batch` checks the queue under the lock
+//! before it waits.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -46,11 +55,13 @@ pub(crate) struct BatchQueue<R> {
     inner: Mutex<Inner<R>>,
     wakeup: Condvar,
     capacity: usize,
+    max_batch: usize,
 }
 
 impl<R> BatchQueue<R> {
-    /// A queue refusing pushes beyond `capacity` pending requests.
-    pub fn new(capacity: usize) -> Self {
+    /// A queue refusing pushes beyond `capacity` pending requests and
+    /// handing them out in batches of at most `max_batch` (at least 1).
+    pub fn new(capacity: usize, max_batch: usize) -> Self {
         BatchQueue {
             inner: Mutex::new(Inner {
                 pending: VecDeque::new(),
@@ -58,10 +69,12 @@ impl<R> BatchQueue<R> {
             }),
             wakeup: Condvar::new(),
             capacity,
+            max_batch: max_batch.max(1),
         }
     }
 
-    /// Enqueues one request, waking the batch worker.
+    /// Enqueues one request, waking the batch worker when the queue
+    /// turns non-empty or fills a batch.
     pub fn push(&self, request: PendingRequest<R>) -> Result<(), PushError> {
         let mut inner = self.inner.lock().expect("batch queue poisoned");
         if inner.closed {
@@ -71,8 +84,11 @@ impl<R> BatchQueue<R> {
             return Err(PushError::Busy);
         }
         inner.pending.push_back(request);
+        let depth = inner.pending.len();
         drop(inner);
-        self.wakeup.notify_one();
+        if depth == 1 || depth == self.max_batch {
+            self.wakeup.notify_one();
+        }
         Ok(())
     }
 
@@ -99,13 +115,8 @@ impl<R> BatchQueue<R> {
     /// the oldest queued request arrived, or the queue is closed (the
     /// drain path flushes immediately). Returns `false` — with `out`
     /// empty — only when the queue is closed *and* fully drained.
-    pub fn next_batch(
-        &self,
-        max_batch: usize,
-        max_wait: Duration,
-        out: &mut Vec<PendingRequest<R>>,
-    ) -> bool {
-        let max_batch = max_batch.max(1);
+    pub fn next_batch(&self, max_wait: Duration, out: &mut Vec<PendingRequest<R>>) -> bool {
+        let max_batch = self.max_batch;
         out.clear();
         let mut inner = self.inner.lock().expect("batch queue poisoned");
         loop {
@@ -172,7 +183,7 @@ mod tests {
 
     #[test]
     fn flushes_immediately_at_max_batch() {
-        let q = BatchQueue::new(8);
+        let q = BatchQueue::new(8, 3);
         for i in 0..3 {
             q.push(request(i as f64).0).unwrap();
         }
@@ -180,7 +191,7 @@ mod tests {
         // max_wait far in the future: only the size trigger can flush
         // this fast, and it must hand over exactly max_batch in order.
         let start = Instant::now();
-        assert!(q.next_batch(3, Duration::from_secs(60), &mut out));
+        assert!(q.next_batch(Duration::from_secs(60), &mut out));
         assert!(start.elapsed() < Duration::from_secs(5));
         let tags: Vec<f64> = out.iter().map(|p| p.observation[0]).collect();
         assert_eq!(tags, vec![0.0, 1.0, 2.0]);
@@ -188,11 +199,11 @@ mod tests {
 
     #[test]
     fn flushes_a_partial_batch_at_the_deadline() {
-        let q = BatchQueue::new(8);
+        let q = BatchQueue::new(8, 64);
         q.push(request(7.0).0).unwrap();
         let mut out = Vec::new();
         let start = Instant::now();
-        assert!(q.next_batch(64, Duration::from_millis(20), &mut out));
+        assert!(q.next_batch(Duration::from_millis(20), &mut out));
         assert_eq!(out.len(), 1);
         assert!(
             start.elapsed() < Duration::from_secs(5),
@@ -203,23 +214,23 @@ mod tests {
 
     #[test]
     fn oversized_backlog_drains_in_max_batch_chunks() {
-        let q = BatchQueue::new(16);
+        let q = BatchQueue::new(16, 4);
         for i in 0..10 {
             q.push(request(i as f64).0).unwrap();
         }
         let mut out = Vec::new();
-        assert!(q.next_batch(4, Duration::from_millis(1), &mut out));
+        assert!(q.next_batch(Duration::from_millis(1), &mut out));
         assert_eq!(out.len(), 4);
-        assert!(q.next_batch(4, Duration::from_millis(1), &mut out));
+        assert!(q.next_batch(Duration::from_millis(1), &mut out));
         assert_eq!(out.len(), 4);
-        assert!(q.next_batch(4, Duration::from_millis(1), &mut out));
+        assert!(q.next_batch(Duration::from_millis(1), &mut out));
         assert_eq!(out.len(), 2);
         assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn full_queue_rejects_with_busy() {
-        let q = BatchQueue::new(2);
+        let q = BatchQueue::new(2, 16);
         q.push(request(0.0).0).unwrap();
         q.push(request(1.0).0).unwrap();
         assert_eq!(q.push(request(2.0).0).unwrap_err(), PushError::Busy);
@@ -228,7 +239,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_ends() {
-        let q = BatchQueue::new(8);
+        let q = BatchQueue::new(8, 64);
         q.push(request(0.0).0).unwrap();
         q.push(request(1.0).0).unwrap();
         q.close();
@@ -236,20 +247,20 @@ mod tests {
         let mut out = Vec::new();
         // Closed: the pending requests flush without waiting out the
         // deadline, then the queue reports drained.
-        assert!(q.next_batch(64, Duration::from_secs(60), &mut out));
+        assert!(q.next_batch(Duration::from_secs(60), &mut out));
         assert_eq!(out.len(), 2);
-        assert!(!q.next_batch(64, Duration::from_secs(60), &mut out));
+        assert!(!q.next_batch(Duration::from_secs(60), &mut out));
         assert!(out.is_empty());
     }
 
     #[test]
     fn close_wakes_an_idle_worker() {
-        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(4));
+        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(4, 4));
         let worker = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut out = Vec::new();
-                q.next_batch(4, Duration::from_secs(60), &mut out)
+                q.next_batch(Duration::from_secs(60), &mut out)
             })
         };
         thread::sleep(Duration::from_millis(50));
@@ -259,12 +270,11 @@ mod tests {
 
     #[test]
     fn wakeups_before_the_deadline_do_not_flush_early() {
-        // Every push notifies the condvar, so a worker waiting out the
-        // deadline is woken repeatedly with the size trigger still
-        // unmet — exactly the shape of a spurious wakeup. It must go
-        // back to waiting and flush once, at the deadline, with
-        // everything that arrived.
-        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(8));
+        // Pushes that leave the size trigger unmet must not end the
+        // deadline wait, whether they wake the worker or not (a
+        // spurious wakeup looks the same). It flushes once, at the
+        // deadline, with everything that arrived.
+        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(8, 8));
         let max_wait = Duration::from_millis(150);
         q.push(request(0.0).0).unwrap();
         let worker = {
@@ -272,7 +282,7 @@ mod tests {
             thread::spawn(move || {
                 let mut out = Vec::new();
                 let start = Instant::now();
-                assert!(q.next_batch(8, max_wait, &mut out));
+                assert!(q.next_batch(max_wait, &mut out));
                 (start.elapsed(), out.len())
             })
         };
@@ -293,13 +303,13 @@ mod tests {
         // A worker parked in the deadline wait (one request queued,
         // deadline far off) must hand that request over as soon as
         // close() lands — the drain path cannot wait out max_wait.
-        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(8));
+        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(8, 8));
         q.push(request(9.0).0).unwrap();
         let worker = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut out = Vec::new();
-                let alive = q.next_batch(8, Duration::from_secs(60), &mut out);
+                let alive = q.next_batch(Duration::from_secs(60), &mut out);
                 (alive, out.len())
             })
         };
@@ -314,19 +324,114 @@ mod tests {
             "close() left the worker waiting out the deadline"
         );
         let mut out = Vec::new();
-        assert!(!q.next_batch(8, Duration::from_secs(60), &mut out));
+        assert!(!q.next_batch(Duration::from_secs(60), &mut out));
+    }
+
+    /// Runs `next_batch(max_wait)` on its own thread; the receiver
+    /// yields how long the call took and how many requests it returned.
+    fn spawn_worker(
+        q: &Arc<BatchQueue<std::sync::mpsc::Sender<u32>>>,
+        max_wait: Duration,
+    ) -> std::sync::mpsc::Receiver<(Duration, usize)> {
+        let (tx, rx) = channel();
+        let q = Arc::clone(q);
+        thread::spawn(move || {
+            let mut out = Vec::new();
+            let start = Instant::now();
+            q.next_batch(max_wait, &mut out);
+            let _ = tx.send((start.elapsed(), out.len()));
+        });
+        rx
+    }
+
+    #[test]
+    fn the_push_that_fills_a_batch_wakes_a_blocked_worker() {
+        // The worker waits out a 60 s deadline on a partial batch; the
+        // pushes that leave it short of max_batch need not wake it, the
+        // one that completes it must.
+        let q = Arc::new(BatchQueue::new(8, 4));
+        q.push(request(0.0).0).unwrap();
+        let worker = spawn_worker(&q, Duration::from_secs(60));
+        thread::sleep(Duration::from_millis(50));
+        q.push(request(1.0).0).unwrap();
+        q.push(request(2.0).0).unwrap();
+        let pusher = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.push(request(3.0).0).unwrap())
+        };
+        pusher.join().expect("pusher panicked");
+        let got = worker.recv_timeout(Duration::from_secs(5));
+        q.close();
+        let (_, len) = got.expect("the fourth push left the worker waiting");
+        assert_eq!(len, 4);
+    }
+
+    #[test]
+    fn the_first_push_wakes_an_idle_worker_which_flushes_at_the_deadline() {
+        let q = Arc::new(BatchQueue::new(8, 4));
+        let max_wait = Duration::from_millis(100);
+        let worker = spawn_worker(&q, max_wait);
+        thread::sleep(Duration::from_millis(50));
+        let pushed = Instant::now();
+        q.push(request(0.0).0).unwrap();
+        let got = worker.recv_timeout(Duration::from_secs(5));
+        let since_push = pushed.elapsed();
+        q.close();
+        let (_, len) = got.expect("the first push left the worker asleep");
+        assert_eq!(len, 1);
+        assert!(
+            since_push >= max_wait,
+            "flushed {since_push:?} after the push, before the deadline"
+        );
+    }
+
+    #[test]
+    fn a_queue_smaller_than_max_batch_flushes_at_the_deadline() {
+        let q = Arc::new(BatchQueue::new(2, 4));
+        let first = Instant::now();
+        q.push(request(0.0).0).unwrap();
+        q.push(request(1.0).0).unwrap();
+        assert_eq!(q.push(request(2.0).0).unwrap_err(), PushError::Busy);
+        let max_wait = Duration::from_millis(50);
+        let got = spawn_worker(&q, max_wait).recv_timeout(Duration::from_secs(5));
+        let since_first = first.elapsed();
+        q.close();
+        let (_, len) = got.expect("a full queue below max_batch never flushed");
+        assert_eq!(len, 2);
+        assert!(
+            since_first >= max_wait,
+            "flushed {since_first:?} after the first push, before the deadline"
+        );
+    }
+
+    #[test]
+    fn a_drain_that_leaves_a_full_batch_returns_it_at_once() {
+        let q = BatchQueue::new(16, 4);
+        for i in 0..9 {
+            q.push(request(i as f64).0).unwrap();
+        }
+        let mut out = Vec::new();
+        let start = Instant::now();
+        assert!(q.next_batch(Duration::from_secs(60), &mut out));
+        assert_eq!(out.len(), 4);
+        // Five remain, more than max_batch: no push will wake the
+        // worker again, so the next call must not wait at all.
+        assert!(q.next_batch(Duration::from_secs(60), &mut out));
+        assert_eq!(out.len(), 4);
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(q.depth(), 1);
     }
 
     #[test]
     fn producer_and_consumer_hand_off_under_contention() {
-        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(64));
+        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(64, 7));
         let total = 200;
         let consumer = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut out = Vec::new();
                 let mut seen = 0usize;
-                while q.next_batch(7, Duration::from_micros(200), &mut out) {
+                while q.next_batch(Duration::from_micros(200), &mut out) {
                     for p in &out {
                         let _ = p.reply.send(p.observation[0] as u32);
                     }

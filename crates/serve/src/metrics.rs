@@ -40,8 +40,12 @@ pub struct ServeMetrics {
     pub reloads_ok: Counter,
     /// Checkpoint hot-reloads rejected (corrupt or incompatible).
     pub reloads_rejected: Counter,
-    /// Batches flushed into `forward_batch`.
+    /// Batches flushed by the batch workers.
     pub batches: Counter,
+    /// Observe requests answered from a worker's decision memo.
+    pub memo_hits: Counter,
+    /// Observe requests the memo missed, answered by a forward.
+    pub memo_misses: Counter,
     /// Requests per flushed batch (mean = batch occupancy).
     pub batch_size: Histogram,
     /// Queue depth observed after each flush.
@@ -74,6 +78,8 @@ impl ServeMetrics {
             reloads_ok: Counter::new("reloads_ok"),
             reloads_rejected: Counter::new("reloads_rejected"),
             batches: Counter::new("batches"),
+            memo_hits: Counter::new("memo_hits"),
+            memo_misses: Counter::new("memo_misses"),
             batch_size: Histogram::new("batch_size", 0.0, 256.0, 256),
             queue_depth: Histogram::new("queue_depth", 0.0, 1024.0, 128),
             latency_us: Histogram::new("latency_us", 0.0, 50_000.0, 1000),
@@ -102,6 +108,8 @@ impl ServeMetrics {
             &self.reloads_ok,
             &self.reloads_rejected,
             &self.batches,
+            &self.memo_hits,
+            &self.memo_misses,
         ] {
             counters.set(c.name, c.value);
         }
@@ -133,6 +141,10 @@ pub struct TenantMetrics {
     pub reloads_ok: Counter,
     /// Checkpoint hot-reloads rejected for this tenant.
     pub reloads_rejected: Counter,
+    /// Requests answered from a worker's decision memo.
+    pub memo_hits: Counter,
+    /// Requests the memo missed, answered by a forward.
+    pub memo_misses: Counter,
     /// Enqueue→reply latency per request, microseconds.
     pub latency_us: Histogram,
 }
@@ -153,6 +165,8 @@ impl TenantMetrics {
             bad_observations: Counter::new("bad_observations"),
             reloads_ok: Counter::new("reloads_ok"),
             reloads_rejected: Counter::new("reloads_rejected"),
+            memo_hits: Counter::new("memo_hits"),
+            memo_misses: Counter::new("memo_misses"),
             latency_us: Histogram::new("latency_us", 0.0, 50_000.0, 1000),
         }
     }
@@ -167,6 +181,8 @@ impl TenantMetrics {
             &self.bad_observations,
             &self.reloads_ok,
             &self.reloads_rejected,
+            &self.memo_hits,
+            &self.memo_misses,
         ] {
             counters.set(c.name, c.value);
         }
@@ -187,11 +203,15 @@ mod tests {
         t.requests.add(5);
         t.responses.add(4);
         t.slo_rejections.incr();
+        t.memo_hits.add(3);
+        t.memo_misses.incr();
         t.latency_us.record(120.0);
         let json = t.to_json();
         let counters = json.get("counters").expect("counters");
         assert_eq!(counters.get("requests"), Some(&JsonValue::Num(5.0)));
         assert_eq!(counters.get("slo_rejections"), Some(&JsonValue::Num(1.0)));
+        assert_eq!(counters.get("memo_hits"), Some(&JsonValue::Num(3.0)));
+        assert_eq!(counters.get("memo_misses"), Some(&JsonValue::Num(1.0)));
         assert!(json.get("latency_us").and_then(|l| l.get("p99")).is_some());
     }
 
@@ -201,6 +221,8 @@ mod tests {
         m.requests.add(10);
         m.responses.add(9);
         m.busy_rejections.incr();
+        m.memo_hits.add(7);
+        m.memo_misses.add(2);
         for size in [4.0, 8.0, 8.0] {
             m.batch_size.record(size);
             m.batches.incr();
@@ -212,6 +234,8 @@ mod tests {
         let counters = json.get("counters").expect("counters");
         assert_eq!(counters.get("requests"), Some(&JsonValue::Num(10.0)));
         assert_eq!(counters.get("busy_rejections"), Some(&JsonValue::Num(1.0)));
+        assert_eq!(counters.get("memo_hits"), Some(&JsonValue::Num(7.0)));
+        assert_eq!(counters.get("memo_misses"), Some(&JsonValue::Num(2.0)));
         let latency = json.get("latency_us").expect("latency_us");
         assert!(latency.get("p50").is_some());
         assert!(latency.get("p99").is_some());

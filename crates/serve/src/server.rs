@@ -20,11 +20,14 @@
 //!   replies (`Pong`, errors) go out through the connection's shared
 //!   write half;
 //! * one **batch worker per shard** pulls size-or-deadline coalesced
-//!   batches, groups each flush's rows by tenant, and runs one
-//!   `Mlp::forward_batch` per tenant group, cloning each tenant's
-//!   policy `Arc` **once per group**, so every response in a
-//!   group is computed by exactly one policy version even while a
-//!   hot-reload swaps the pointer (no torn reads). Replies are
+//!   batches, groups each flush's rows by tenant, and answers each
+//!   tenant group through that tenant's [`DecisionMemo`]: rows seen
+//!   before under the current model come from the memo, and the rest go
+//!   through one `Mlp::forward_batch`. The worker clones each tenant's
+//!   policy `Arc` **once per group**, so every response in a group is
+//!   computed by exactly one policy version even while a hot-reload
+//!   swaps the pointer (no torn reads), and a changed `Arc` replaces
+//!   the tenant's memo, so no answer outlives its model. Replies are
 //!   coalesced into one buffered write per connection, keyed by the
 //!   accept-time connection id (an `O(1)` map lookup, with reply
 //!   buffers reused across flushes);
@@ -64,8 +67,7 @@ use crate::batcher::{BatchQueue, PendingRequest, PushError};
 use crate::metrics::{ServeMetrics, TenantMetrics};
 use crate::protocol::{ErrorCode, Message, WireError, DEFAULT_TENANT};
 use ctjam_dqn::checkpoint::CheckpointError;
-use ctjam_dqn::policy::GreedyPolicy;
-use ctjam_nn::batch::Batch;
+use ctjam_dqn::policy::{DecisionMemo, GreedyPolicy};
 use ctjam_nn::mlp::BatchScratch;
 use ctjam_telemetry::JsonValue;
 use std::collections::HashMap;
@@ -358,7 +360,7 @@ impl PolicyServer {
         };
         let shards = (0..worker_count)
             .map(|_| WorkerShard {
-                queue: BatchQueue::new(config.queue_capacity),
+                queue: BatchQueue::new(config.queue_capacity, config.max_batch),
                 ewma_ns_per_req: AtomicU64::new(0),
             })
             .collect();
@@ -803,27 +805,23 @@ struct ReplyBuf {
 fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
     let shard = &shared.shards[shard_index];
     let mut pending: Vec<PendingRequest<Reply>> = Vec::new();
-    let mut batch = Batch::default();
     let mut group_actions: Vec<usize> = Vec::new();
     let mut actions: Vec<u32> = Vec::new();
     let mut groups: Vec<(Arc<Tenant>, Vec<usize>)> = Vec::new();
-    // Forward scratch per tenant, invalidated when the tenant's model
-    // Arc changes (a reload may resize layers).
-    let mut scratches: HashMap<u32, (Arc<GreedyPolicy>, BatchScratch)> = HashMap::new();
+    // Decision memo and forward scratch per tenant, both replaced when
+    // the tenant's model Arc changes: a reload may change every action
+    // and resize layers.
+    let mut memos: HashMap<u32, (DecisionMemo, BatchScratch)> = HashMap::new();
     let mut replies: HashMap<u64, ReplyBuf> = HashMap::new();
     let mut touched: Vec<u64> = Vec::new();
     let mut flush_seq: u64 = 0;
     loop {
-        let alive = shard.queue.next_batch(
-            shared.config.max_batch,
-            shared.config.max_wait,
-            &mut pending,
-        );
+        let alive = shard.queue.next_batch(shared.config.max_wait, &mut pending);
         if !pending.is_empty() {
             let flush_start = Instant::now();
-            // Group this flush's rows by tenant: one forward per tenant
-            // group, each answered by exactly one model version (the
-            // Arc is cloned once per group), reload or not.
+            // Group this flush's rows by tenant: at most one forward per
+            // tenant group, each answered by exactly one model version
+            // (the Arc is cloned once per group), reload or not.
             groups.clear();
             for (row, p) in pending.iter().enumerate() {
                 match groups
@@ -836,25 +834,26 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
             }
             actions.clear();
             actions.resize(pending.len(), 0);
+            let mut flush_hits = 0;
             for (tenant, rows) in &groups {
                 let model = tenant.current_model();
-                batch.reset(model.input_size());
-                for &row in rows {
-                    batch.push_row(&pending[row].observation);
+                let fresh = || (DecisionMemo::new(Arc::clone(&model)), model.scratch());
+                let entry = memos.entry(tenant.id).or_insert_with(fresh);
+                if !Arc::ptr_eq(entry.0.policy(), &model) {
+                    *entry = fresh();
                 }
-                let entry = scratches
-                    .entry(tenant.id)
-                    .or_insert_with(|| (Arc::clone(&model), model.scratch()));
-                if !Arc::ptr_eq(&entry.0, &model) {
-                    *entry = (Arc::clone(&model), model.scratch());
-                }
-                model.act_greedy_batch(&batch, &mut entry.1, &mut group_actions);
+                let (memo, scratch) = entry;
+                let observations = rows.iter().map(|&row| pending[row].observation.as_slice());
+                let hits = memo.act_greedy_batch(observations, scratch, &mut group_actions) as u64;
+                flush_hits += hits;
                 for (&row, &action) in rows.iter().zip(&group_actions) {
                     actions[row] = action as u32;
                 }
                 let now = Instant::now();
                 let mut tm = tenant.metrics();
                 tm.responses.add(rows.len() as u64);
+                tm.memo_hits.add(hits);
+                tm.memo_misses.add(rows.len() as u64 - hits);
                 for &row in rows {
                     tm.latency_us
                         .record(now.duration_since(pending[row].enqueued).as_secs_f64() * 1e6);
@@ -867,6 +866,8 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
                 m.batch_size.record(pending.len() as f64);
                 m.queue_depth.record(shard.queue.depth() as f64);
                 m.responses.add(pending.len() as u64);
+                m.memo_hits.add(flush_hits);
+                m.memo_misses.add(pending.len() as u64 - flush_hits);
                 for p in &pending {
                     m.latency_us
                         .record(now.duration_since(p.enqueued).as_secs_f64() * 1e6);

@@ -12,6 +12,7 @@ use ctjam_dqn::config::DqnConfig;
 use ctjam_dqn::policy::GreedyPolicy;
 use ctjam_serve::client::PolicyClient;
 use ctjam_serve::server::{PolicyServer, ReloadError, ServerConfig};
+use ctjam_telemetry::JsonValue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -207,6 +208,49 @@ fn reload_under_load_answers_from_exactly_one_policy() {
     std::fs::remove_file(&path_a).ok();
     std::fs::remove_file(&path_b).ok();
     server.shutdown();
+}
+
+#[test]
+fn a_reload_resets_the_decision_memo() {
+    let config = small_config();
+    let agent_a = trained_agent(&config, 58);
+    let agent_b = trained_agent(&config, 59);
+    let obs: Vec<f64> = observations(&config, 200, 4)
+        .into_iter()
+        .find(|o| agent_a.act_greedy(o) != agent_b.act_greedy(o))
+        .expect("seeds 58/59 disagree somewhere");
+    let path_a = temp_file("memo_a");
+    let path_b = temp_file("memo_b");
+    checkpoint::save_agent(&agent_a, &path_a).expect("save a");
+    checkpoint::save_agent(&agent_b, &path_b).expect("save b");
+    let server = PolicyServer::bind(
+        "127.0.0.1:0",
+        GreedyPolicy::from_agent(&agent_a),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let mut client = PolicyClient::connect(server.local_addr()).expect("connect");
+
+    // One connection, one shard, one request per flush: under each
+    // policy the first ask fills the memo and the next three hit it.
+    let mut ask = |agent: &DqnAgent, phase: &str| {
+        for i in 0..4 {
+            let served = client.act(&obs).expect("act") as usize;
+            assert_eq!(served, agent.act_greedy(&obs), "{phase}, ask {i}");
+        }
+    };
+    ask(&agent_a, "first A");
+    server.reload_from(&path_b).expect("reload b");
+    ask(&agent_b, "after the reload to B");
+    server.reload_from(&path_a).expect("reload a");
+    ask(&agent_a, "after the reload back to A");
+
+    let metrics = server.shutdown();
+    let counters = metrics.get("counters").expect("counters");
+    assert_eq!(counters.get("memo_hits"), Some(&JsonValue::Num(9.0)));
+    assert_eq!(counters.get("memo_misses"), Some(&JsonValue::Num(3.0)));
+    std::fs::remove_file(&path_a).ok();
+    std::fs::remove_file(&path_b).ok();
 }
 
 #[test]
