@@ -70,6 +70,19 @@ for workload in repro_sweep fleet_zoo serve_closed serve_open; do
   echo "  $workload: $(tail -n 1 "$ci_tmp/$workload.out")"
 done
 
+# The decision memo's miss path under load: at seed 7 the quick serve
+# traffic holds 2 190 distinct observations, 1 412 and 1 522 per
+# connection, about 6x the memo's 256 slots, so the forward and the
+# memo's stores run under load with every served action checked. No
+# pins.json digest applies at this seed.
+echo "== benchmark quick runs at seed 7 (serve_closed, serve_open: memo misses) =="
+for workload in serve_closed serve_open; do
+  bash benchmark/run.sh --workload "$workload" --quick --seed 7 --out "$ci_tmp/benchmark-seed7" \
+    > "$ci_tmp/$workload-seed7.out" 2> "$ci_tmp/$workload-seed7.err" \
+    || { cat "$ci_tmp/$workload-seed7.err" "$ci_tmp/$workload-seed7.out"; echo "FAIL: benchmark $workload --seed 7"; exit 1; }
+  echo "  $workload --seed 7: $(tail -n 1 "$ci_tmp/$workload-seed7.out")"
+done
+
 # Traced quick run of repro_sweep: its per-layer breakdown must still
 # describe the whole. The phase-by-phase replay of train_step has to sum
 # to within 10% of a whole step (dqn.train_step_coverage) and the traced

@@ -1,25 +1,52 @@
 //! Server observability built on `ctjam-telemetry`.
 //!
 //! One [`ServeMetrics`] lives behind a mutex in the server's shared
-//! state; connection threads and the batch workers update it, and
-//! [`ServeMetrics::to_json`] snapshots everything — counters plus the
-//! batch-size / queue-depth / latency histograms with their
-//! p50/p95/p99 summaries — into one `JsonValue` for export. In
-//! addition every tenant carries its own [`TenantMetrics`] (requests,
-//! responses, load-shed and reload accounting, a latency histogram);
-//! the server's snapshot nests them under a `"tenants"` object keyed
-//! by tenant id. Global counters aggregate across tenants, so a
-//! single-tenant deployment reads exactly like it did pre-tenancy.
+//! state, and every tenant carries its own [`TenantMetrics`] (requests,
+//! responses, load-shed and reload accounting, a latency histogram)
+//! behind another. A connection thread publishes its counts once per
+//! read and a batch worker once per flush, so neither takes a lock per
+//! request. Each request's latency is recorded once, in its tenant's
+//! histogram. The server's snapshot
+//! ([`crate::server::PolicyServer::metrics_json`]) turns everything —
+//! counters plus the batch-size / queue-depth / latency histograms with
+//! their p50/p95/p99 summaries — into one `JsonValue` for export: the
+//! global `latency_us` is the merge of the tenants' histograms, and the
+//! tenants nest under a `"tenants"` object keyed by tenant id. Global counters aggregate
+//! across tenants, so a single-tenant deployment reads exactly like it
+//! did pre-tenancy.
 
 use ctjam_telemetry::export::histogram_json;
 use ctjam_telemetry::stats::{Counter, Histogram};
 use ctjam_telemetry::JsonValue;
+
+/// The server's metrics as one JSON object: `global`'s counters and
+/// histograms, with every tenant's `latency_us` merged into its own
+/// (the server records a request's latency only in its tenant's
+/// histogram; the merge is exact and order-invariant, so count, mean,
+/// bins and percentiles equal recording every latency in both), and
+/// each tenant's [`TenantMetrics::to_json`] under `"tenants" → "<id>"`.
+pub(crate) fn snapshot<'t>(
+    global: &ServeMetrics,
+    tenants: impl IntoIterator<Item = (u32, &'t TenantMetrics)>,
+) -> JsonValue {
+    let mut merged = global.clone();
+    let mut tenant_json = JsonValue::object();
+    for (id, t) in tenants {
+        merged.latency_us.merge(&t.latency_us);
+        tenant_json.set(&id.to_string(), t.to_json());
+    }
+    let mut json = merged.to_json();
+    json.set("tenants", tenant_json);
+    json
+}
 
 /// Counters and distributions describing one server's lifetime.
 #[derive(Debug, Clone)]
 pub struct ServeMetrics {
     /// Connections accepted.
     pub connections: Counter,
+    /// Connections turned away at the `max_connections` cap.
+    pub connections_refused: Counter,
     /// Observe requests read off the wire.
     pub requests: Counter,
     /// Greedy actions served.
@@ -48,9 +75,11 @@ pub struct ServeMetrics {
     pub memo_misses: Counter,
     /// Requests per flushed batch (mean = batch occupancy).
     pub batch_size: Histogram,
-    /// Queue depth observed after each flush.
+    /// Requests left queued when each batch was taken.
     pub queue_depth: Histogram,
-    /// Enqueue→reply latency per request, microseconds.
+    /// Enqueue→reply latency per request, microseconds. The server
+    /// records latencies per tenant only, and its snapshot merges them
+    /// into this one.
     pub latency_us: Histogram,
 }
 
@@ -67,6 +96,7 @@ impl ServeMetrics {
     pub fn new() -> Self {
         ServeMetrics {
             connections: Counter::new("connections"),
+            connections_refused: Counter::new("connections_refused"),
             requests: Counter::new("requests"),
             responses: Counter::new("responses"),
             pings: Counter::new("pings"),
@@ -82,8 +112,14 @@ impl ServeMetrics {
             memo_misses: Counter::new("memo_misses"),
             batch_size: Histogram::new("batch_size", 0.0, 256.0, 256),
             queue_depth: Histogram::new("queue_depth", 0.0, 1024.0, 128),
-            latency_us: Histogram::new("latency_us", 0.0, 50_000.0, 1000),
+            latency_us: ServeMetrics::latency_histogram(),
         }
+    }
+
+    /// An empty latency histogram: to 50 ms at 50 µs resolution, the
+    /// global and every tenant's alike, so they merge.
+    fn latency_histogram() -> Histogram {
+        Histogram::new("latency_us", 0.0, 50_000.0, 1000)
     }
 
     /// Mean requests per flushed batch (NaN before the first flush).
@@ -97,6 +133,7 @@ impl ServeMetrics {
         let mut counters = JsonValue::object();
         for c in [
             &self.connections,
+            &self.connections_refused,
             &self.requests,
             &self.responses,
             &self.pings,
@@ -125,8 +162,9 @@ impl ServeMetrics {
 
 /// Per-tenant observability: one of these lives inside every tenant
 /// entry, updated by connection threads (admission) and batch workers
-/// (service). The server snapshot nests [`TenantMetrics::to_json`]
-/// under `"tenants" → "<id>"`.
+/// (service). The server's snapshot nests [`TenantMetrics::to_json`]
+/// under `"tenants" → "<id>"` and merges the latency histograms into
+/// the global one.
 #[derive(Debug, Clone)]
 pub struct TenantMetrics {
     /// Observe requests addressed to this tenant.
@@ -167,7 +205,7 @@ impl TenantMetrics {
             reloads_rejected: Counter::new("reloads_rejected"),
             memo_hits: Counter::new("memo_hits"),
             memo_misses: Counter::new("memo_misses"),
-            latency_us: Histogram::new("latency_us", 0.0, 50_000.0, 1000),
+            latency_us: ServeMetrics::latency_histogram(),
         }
     }
 
@@ -213,6 +251,36 @@ mod tests {
         assert_eq!(counters.get("memo_hits"), Some(&JsonValue::Num(3.0)));
         assert_eq!(counters.get("memo_misses"), Some(&JsonValue::Num(1.0)));
         assert!(json.get("latency_us").and_then(|l| l.get("p99")).is_some());
+    }
+
+    #[test]
+    fn the_snapshot_latency_is_the_merge_of_the_tenants() {
+        // The server records each latency once, in its tenant's
+        // histogram. The snapshot's global histogram must read exactly
+        // as if every latency had also been recorded globally.
+        let (mut a, mut b) = (TenantMetrics::new(), TenantMetrics::new());
+        let mut recorded_twice = ServeMetrics::new();
+        for (i, us) in [120.0, 80.5, 4_000.25, 60_000.0, 3.0, 0.1, 49_999.9]
+            .into_iter()
+            .enumerate()
+        {
+            let tenant = if i % 3 == 0 { &mut a } else { &mut b };
+            tenant.latency_us.record(us);
+            recorded_twice.latency_us.record(us);
+        }
+        let mut global = ServeMetrics::new();
+        global.responses.add(7);
+        let expected = histogram_json(&recorded_twice.latency_us);
+        for json in [
+            snapshot(&global, [(0, &a), (7, &b)]),
+            snapshot(&global, [(7, &b), (0, &a)]),
+        ] {
+            assert_eq!(json.get("latency_us"), Some(&expected));
+            let counters = json.get("counters").expect("counters");
+            assert_eq!(counters.get("responses"), Some(&JsonValue::Num(7.0)));
+            let tenant = json.get("tenants").and_then(|t| t.get("7"));
+            assert_eq!(tenant, Some(&b.to_json()));
+        }
     }
 
     #[test]

@@ -284,14 +284,9 @@ impl Message {
     /// oversized input. Never panics, and never allocates before the
     /// length prefix has been validated against [`MAX_PAYLOAD`].
     pub fn decode(bytes: &[u8]) -> Result<(Message, usize), WireError> {
-        let header = decode_header(bytes)?;
-        let total = HEADER_LEN + header.payload_len as usize;
-        if bytes.len() < total {
-            return Err(WireError::Truncated);
-        }
-        let payload = &bytes[HEADER_LEN..total];
-        let msg = decode_payload(&header, payload)?;
-        Ok((msg, total))
+        let mut observation = Vec::new();
+        let (frame, used) = decode_frame(bytes, &mut observation)?;
+        Ok((frame.into_message(observation), used))
     }
 
     /// Writes the framed encoding to `w` (buffered into one `write_all`
@@ -346,8 +341,9 @@ impl Message {
                 RecvError::Io(e)
             }
         })?;
-        decode_payload(&parsed, &payload)
-            .map(Some)
+        let mut observation = Vec::new();
+        decode_body(&parsed, &payload, &mut observation)
+            .map(|frame| Some(frame.into_message(observation)))
             .map_err(RecvError::Wire)
     }
 }
@@ -422,9 +418,59 @@ fn decode_header(bytes: &[u8]) -> Result<Header, WireError> {
     })
 }
 
-fn decode_payload(header: &Header, payload: &[u8]) -> Result<Message, WireError> {
+/// One decoded frame, as [`decode_frame`] hands it to the server: an
+/// `Observe` request's features stay in the caller's row buffer.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Frame {
+    /// An `Observe` request whose `len` features were appended to the
+    /// row buffer.
+    Observe {
+        /// Request id, echoed in the reply.
+        id: u64,
+        /// Tenant (model) id the observation is addressed to.
+        tenant: u32,
+        /// Number of features appended.
+        len: usize,
+    },
+    /// Any other message, decoded whole.
+    Other(Message),
+}
+
+impl Frame {
+    /// The frame as a [`Message`]; an `Observe` takes `observation`,
+    /// the buffer its features were appended to, as its features.
+    fn into_message(self, observation: Vec<f64>) -> Message {
+        match self {
+            Frame::Observe { id, tenant, .. } => Message::Observe {
+                id,
+                tenant,
+                observation,
+            },
+            Frame::Other(msg) => msg,
+        }
+    }
+}
+
+/// Decodes one frame from the front of `bytes` exactly as
+/// [`Message::decode`] does (which wraps it), except that an `Observe`
+/// frame's features are appended to `rows` instead of a fresh `Vec`, so
+/// the server decodes a whole read into one flat row buffer. On any
+/// error `rows` is left as it was.
+pub(crate) fn decode_frame(bytes: &[u8], rows: &mut Vec<f64>) -> Result<(Frame, usize), WireError> {
+    let header = decode_header(bytes)?;
+    let total = HEADER_LEN + header.payload_len as usize;
+    if bytes.len() < total {
+        return Err(WireError::Truncated);
+    }
+    let frame = decode_body(&header, &bytes[HEADER_LEN..total], rows)?;
+    Ok((frame, total))
+}
+
+/// Decodes a validated header's payload; an `Observe`'s features are
+/// appended to `rows` only once the whole payload has checked out.
+fn decode_body(header: &Header, payload: &[u8], rows: &mut Vec<f64>) -> Result<Frame, WireError> {
     let id = header.id;
-    match header.kind {
+    let message = match header.kind {
         KIND_OBSERVE => {
             // v2 prefixes the features with a u32 tenant id; a v1 frame
             // is implicitly addressed to the default tenant.
@@ -441,36 +487,37 @@ fn decode_payload(header: &Header, payload: &[u8]) -> Result<Message, WireError>
                     "observation bytes not a multiple of 8",
                 ));
             }
-            let observation = features
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                .collect();
-            Ok(Message::Observe {
+            rows.extend(
+                features
+                    .chunks_exact(8)
+                    .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+            );
+            return Ok(Frame::Observe {
                 id,
                 tenant,
-                observation,
-            })
+                len: features.len() / 8,
+            });
         }
         KIND_PING => {
             if !payload.is_empty() {
                 return Err(WireError::BadPayload("ping carries no payload"));
             }
-            Ok(Message::Ping { id })
+            Message::Ping { id }
         }
         KIND_ACTION => {
             let bytes: [u8; 4] = payload
                 .try_into()
                 .map_err(|_| WireError::BadPayload("action payload must be 4 bytes"))?;
-            Ok(Message::Action {
+            Message::Action {
                 id,
                 action: u32::from_le_bytes(bytes),
-            })
+            }
         }
         KIND_PONG => {
             if !payload.is_empty() {
                 return Err(WireError::BadPayload("pong carries no payload"));
             }
-            Ok(Message::Pong { id })
+            Message::Pong { id }
         }
         KIND_ERROR => {
             let bytes: [u8; 2] = payload
@@ -478,15 +525,17 @@ fn decode_payload(header: &Header, payload: &[u8]) -> Result<Message, WireError>
                 .map_err(|_| WireError::BadPayload("error payload must be 2 bytes"))?;
             let code = ErrorCode::from_u16(u16::from_le_bytes(bytes))
                 .ok_or(WireError::BadPayload("unknown error code"))?;
-            Ok(Message::Error { id, code })
+            Message::Error { id, code }
         }
         _ => unreachable!("decode_header validated the kind"),
-    }
+    };
+    Ok(Frame::Other(message))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn samples() -> Vec<Message> {
         vec![
@@ -687,6 +736,105 @@ mod tests {
             assert_eq!(ErrorCode::from_u16(code.to_u16()), Some(code));
         }
         assert_eq!(ErrorCode::from_u16(0), None);
+    }
+
+    /// The bit patterns of `f64`s, so NaN payloads compare exactly.
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Decodes `bytes` with [`decode_frame`] into a row buffer holding
+    /// `prefill` and checks it against [`Message::decode`]: the same
+    /// outcome and length, an `Observe`'s features appended after the
+    /// prefill, and the buffer untouched by anything else.
+    fn row_decoder_agrees(bytes: &[u8], prefill: &[f64]) {
+        let mut rows = prefill.to_vec();
+        let got = decode_frame(bytes, &mut rows);
+        let (kept, appended) = rows.split_at(prefill.len().min(rows.len()));
+        assert_eq!(bits(kept), bits(prefill));
+        match (Message::decode(bytes), got) {
+            (Ok((message, used)), Ok((frame, frame_used))) => {
+                assert_eq!(used, frame_used);
+                match (message, frame) {
+                    (
+                        Message::Observe {
+                            id,
+                            tenant,
+                            observation,
+                        },
+                        Frame::Observe {
+                            id: frame_id,
+                            tenant: frame_tenant,
+                            len,
+                        },
+                    ) => {
+                        assert_eq!((id, tenant), (frame_id, frame_tenant));
+                        assert_eq!(len, observation.len());
+                        assert_eq!(bits(appended), bits(&observation));
+                    }
+                    (message, Frame::Other(other)) => {
+                        assert_eq!(other.encode(), message.encode());
+                        assert!(appended.is_empty());
+                    }
+                    (message, frame) => {
+                        panic!("decode gave {message:?}, the row decoder {frame:?}");
+                    }
+                }
+            }
+            (Err(error), Err(frame_error)) => {
+                assert_eq!(error, frame_error);
+                assert!(appended.is_empty());
+            }
+            (message, frame) => {
+                panic!("decode gave {message:?}, the row decoder {frame:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn the_row_decoder_agrees_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+            prefill in prop::collection::vec(any::<f64>(), 0..6),
+        ) {
+            row_decoder_agrees(&bytes, &prefill);
+        }
+
+        #[test]
+        fn the_row_decoder_agrees_on_cut_and_flipped_frames(
+            kind in 0usize..8,
+            id in any::<u64>(),
+            v2 in prop::bool::ANY,
+            tenant in any::<u32>(),
+            payload in prop::collection::vec(any::<f64>(), 0..8),
+            prefill in prop::collection::vec(any::<f64>(), 0..6),
+            mangle in 0u8..4,
+            at_seed in any::<u64>(),
+            xor in 1u8..=255,
+        ) {
+            // Mostly observes, whose features go to the row buffer.
+            let message = match kind {
+                0..=3 => Message::Observe {
+                    id,
+                    tenant: if v2 { tenant } else { DEFAULT_TENANT },
+                    observation: payload,
+                },
+                4 => Message::Ping { id },
+                5 => Message::Action { id, action: tenant },
+                6 => Message::Pong { id },
+                _ => Message::Error { id, code: ErrorCode::Overloaded },
+            };
+            // Half the frames stay whole, a quarter get one byte
+            // flipped and a quarter are cut short.
+            let mut bytes = message.encode();
+            let at = (at_seed as usize) % bytes.len();
+            match mangle {
+                0 => bytes[at] ^= xor,
+                1 => bytes.truncate(at),
+                _ => {}
+            }
+            row_decoder_agrees(&bytes, &prefill);
+        }
     }
 
     #[test]

@@ -9,28 +9,36 @@
 //!   connection's requests always flow through the same
 //!   `BatchQueue` (crate-private `batcher` module), which is what preserves
 //!   per-connection reply order with many workers;
-//! * connection threads decode framed requests
-//!   ([`crate::protocol::Message`]) out of a growing byte buffer — one
-//!   `read` syscall can drain many pipelined frames — resolve the
-//!   frame's tenant id against the tenant registry (cached per
-//!   connection: the width check never touches the model `RwLock` on
-//!   the request path, since [`ReloadError::ShapeMismatch`] guarantees
-//!   a tenant's input size is immutable), run admission control, and
-//!   enqueue observations into their shard's bounded queue; immediate
-//!   replies (`Pong`, errors) go out through the connection's shared
-//!   write half;
+//! * connection threads decode every complete frame of one `read` —
+//!   one syscall can drain many pipelined frames — out of a growing
+//!   byte buffer, writing each `Observe`'s features straight into the
+//!   connection's flat row buffer
+//!   ([`crate::protocol::Message`] is the codec). They resolve the
+//!   frame's tenant id to an index in a per-connection cache (the width
+//!   check never touches the model `RwLock`, since
+//!   [`ReloadError::ShapeMismatch`] guarantees a tenant's input size is
+//!   immutable), run admission control, and count requests locally. A
+//!   read ends with one hand-off: the counts are published, then every
+//!   admitted request — plain data: id, tenant id, row length — goes to
+//!   the shard's bounded queue in one push, under one lock and one clock
+//!   read, waking the worker at most once, with the connection's one
+//!   reply `Arc` carried once for the whole run. Immediate replies
+//!   (`Pong`, errors) go out through the connection's shared write half;
 //! * one **batch worker per shard** pulls size-or-deadline coalesced
-//!   batches, groups each flush's rows by tenant, and answers each
-//!   tenant group through that tenant's [`DecisionMemo`]: rows seen
-//!   before under the current model come from the memo, and the rest go
-//!   through one `Mlp::forward_batch`. The worker clones each tenant's
-//!   policy `Arc` **once per group**, so every response in a group is
-//!   computed by exactly one policy version even while a hot-reload
-//!   swaps the pointer (no torn reads), and a changed `Arc` replaces
-//!   the tenant's memo, so no answer outlives its model. Replies are
+//!   batches, groups each flush's rows by tenant id (resolved through a
+//!   worker-local cache), and answers each tenant group through that
+//!   tenant's [`DecisionMemo`]: rows seen before under the current model
+//!   come from the memo, and the rest go through one
+//!   `Mlp::forward_batch`. The worker clones each tenant's policy `Arc`
+//!   **once per group**, so every response in a group is computed by
+//!   exactly one policy version even while a hot-reload swaps the
+//!   pointer (no torn reads), and a changed `Arc` replaces the tenant's
+//!   memo, so no answer outlives its model. Each request's latency is
+//!   recorded once, in its tenant's histogram, under one tenant-metrics
+//!   lock per group and one global lock per flush. Replies are
 //!   coalesced into one buffered write per connection, keyed by the
-//!   accept-time connection id (an `O(1)` map lookup, with reply
-//!   buffers reused across flushes);
+//!   accept-time connection id and looked up once per run of requests,
+//!   with reply buffers reused across flushes;
 //! * optional **watcher** threads (one per watched tenant) poll a
 //!   checkpoint path and apply validated swaps via the same
 //!   [`PolicyServer::reload_tenant_from`] path. The watcher keys on the
@@ -42,13 +50,16 @@
 //!   polling; the atomic tempfile+rename publish protocol makes that
 //!   window one filesystem-timestamp granule.)
 //!
-//! Admission control is two-layered: the bounded queue refuses pushes
-//! beyond `queue_capacity` with `ServerBusy` (hard backstop), and when
+//! Admission control is three-layered: at accept, a connection beyond
+//! [`ServerConfig::max_connections`] is sent `ServerBusy` and closed;
+//! the bounded queue refuses requests beyond `queue_capacity` with
+//! `ServerBusy` (hard backstop); and when
 //! [`ServerConfig::max_queue_delay`] is set, a request whose estimated
-//! queue delay — shard depth × an EWMA of per-request service cost —
-//! exceeds the bound is shed with `Overloaded` before it is enqueued.
-//! Shedding early keeps the latency of admitted requests bounded
-//! instead of letting the whole queue slow down together.
+//! queue delay — (shard depth + requests already admitted from the same
+//! read) × an EWMA of per-request service cost — exceeds the bound is
+//! shed with `Overloaded` before it is enqueued. Shedding early keeps
+//! the latency of admitted requests bounded instead of letting the
+//! whole queue slow down together.
 //!
 //! Connections may pipeline: any number of `Observe` frames can be in
 //! flight at once, and replies carry the request id they answer.
@@ -63,63 +74,46 @@
 //! timeout, and `shutdown` joins them all before returning the final
 //! metrics snapshot. No in-flight request is dropped, for any tenant.
 
-use crate::batcher::{BatchQueue, PendingRequest, PushError};
-use crate::metrics::{ServeMetrics, TenantMetrics};
-use crate::protocol::{ErrorCode, Message, WireError, DEFAULT_TENANT};
+use crate::batcher::{Batch, BatchQueue, PushError, Request};
+use crate::metrics::{self, ServeMetrics, TenantMetrics};
+use crate::protocol::{decode_frame, ErrorCode, Frame, Message, WireError, DEFAULT_TENANT};
 use ctjam_dqn::checkpoint::CheckpointError;
 use ctjam_dqn::policy::{DecisionMemo, GreedyPolicy};
 use ctjam_nn::mlp::BatchScratch;
 use ctjam_telemetry::JsonValue;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime};
 
-/// The batch worker's reply handle: the request id, the connection it
-/// came from, the tenant that owns the observation, and the
-/// connection's shared write half.
-struct Reply {
+/// One connection: its accept-time id and its socket, shared between
+/// the reader thread (reads, and immediate `Pong`/error replies) and
+/// its shard's batch worker (`Action` replies). A mutex serializes
+/// whole frames; reads never take it. The reader holds one `Arc`, and
+/// each run of requests it pushes carries one more, so the worker can
+/// answer a queued run after its peer has half-closed.
+struct Connection {
     id: u64,
-    conn: u64,
-    tenant: Arc<Tenant>,
-    writer: ReplyWriter,
+    stream: TcpStream,
+    write: Mutex<()>,
 }
 
-/// Write half of one connection, shared between its reader thread
-/// (immediate `Pong`/error replies) and its shard's batch worker
-/// (`Action` replies). A mutex serializes whole frames; reads never
-/// take it.
-#[derive(Clone)]
-struct ReplyWriter {
-    stream: Arc<TcpStream>,
-    guard: Arc<Mutex<()>>,
-}
-
-impl ReplyWriter {
-    fn new(stream: Arc<TcpStream>) -> ReplyWriter {
-        ReplyWriter {
-            stream,
-            guard: Arc::new(Mutex::new(())),
-        }
-    }
-
+impl Connection {
     /// Writes one frame; errors just mean the peer is gone.
     fn send(&self, msg: &Message) -> io::Result<()> {
-        let _guard = self.guard.lock().expect("writer lock poisoned");
-        msg.write_to(&mut (&*self.stream))
+        self.send_bytes(&msg.encode())
     }
 
     /// Writes pre-encoded frames in one syscall (the batch worker
     /// coalesces every reply a flush owes one connection).
     fn send_bytes(&self, frames: &[u8]) -> io::Result<()> {
-        use io::Write;
-        let _guard = self.guard.lock().expect("writer lock poisoned");
-        (&*self.stream).write_all(frames)
+        let _guard = self.write.lock().expect("writer lock poisoned");
+        (&self.stream).write_all(frames)
     }
 }
 
@@ -142,12 +136,18 @@ pub struct ServerConfig {
     /// requests are queued — so any value is behaviorally identical.
     pub workers: usize,
     /// Queue-delay SLO: shed a request with `Overloaded` when its
-    /// shard's estimated queue delay (depth × EWMA service cost per
-    /// request) already exceeds this bound. `None` (the default)
-    /// disables shedding; the bounded queue's `ServerBusy` backstop
-    /// always applies. No request is shed before a shard's first flush
-    /// establishes a cost estimate.
+    /// shard's estimated queue delay ((depth + requests already admitted
+    /// from the same read) × EWMA service cost per request) already
+    /// exceeds this bound. `None` (the default) disables shedding; the
+    /// bounded queue's `ServerBusy` backstop always applies. No request
+    /// is shed before a shard's first flush establishes a cost
+    /// estimate.
     pub max_queue_delay: Option<Duration>,
+    /// Cap on open connections, each of which holds one thread. A
+    /// connection accepted at the cap is sent one
+    /// `Error { id: 0, code: ServerBusy }` and closed, and counted in
+    /// `connections_refused`.
+    pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
@@ -159,6 +159,7 @@ impl Default for ServerConfig {
             poll_interval: Duration::from_millis(25),
             workers: 0,
             max_queue_delay: None,
+            max_connections: 1024,
         }
     }
 }
@@ -253,7 +254,7 @@ impl Tenant {
 /// per-request service cost (nanoseconds; `0` until the first flush)
 /// that backs the queue-delay SLO estimate.
 struct WorkerShard {
-    queue: BatchQueue<Reply>,
+    queue: BatchQueue<Arc<Connection>>,
     ewma_ns_per_req: AtomicU64,
 }
 
@@ -504,19 +505,13 @@ impl PolicyServer {
     /// Snapshot of the server's metrics as JSON: the global counters
     /// and histograms, plus one entry per tenant under `"tenants"`.
     pub fn metrics_json(&self) -> JsonValue {
-        let mut json = self.shared.metrics().to_json();
-        let mut tenants = JsonValue::object();
-        for t in self
-            .shared
-            .tenants
-            .read()
-            .expect("tenant list poisoned")
-            .iter()
-        {
-            tenants.set(&t.id.to_string(), t.metrics().to_json());
-        }
-        json.set("tenants", tenants);
-        json
+        let tenants = self.shared.tenants.read().expect("tenant list poisoned");
+        let held: Vec<(u32, MutexGuard<'_, TenantMetrics>)> =
+            tenants.iter().map(|t| (t.id, t.metrics())).collect();
+        metrics::snapshot(
+            &self.shared.metrics(),
+            held.iter().map(|(id, m)| (*id, &**m)),
+        )
     }
 
     /// Mean requests per flushed batch so far, across all workers (NaN
@@ -577,17 +572,24 @@ fn accept_loop(
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                shared.metrics().connections.incr();
-                let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                let handle = thread::spawn(move || connection_loop(stream, conn_id, &shared));
                 let mut held = connections.lock().expect("connection list poisoned");
                 // Join the threads of connections that have closed, so the
                 // list holds the live connections, not every one accepted.
                 for done in held.extract_if(.., |h| h.is_finished()) {
                     let _ = done.join();
                 }
-                held.push(handle);
+                if held.len() >= shared.config.max_connections {
+                    drop(held);
+                    shared.metrics().connections_refused.incr();
+                    refuse_connection(&stream);
+                    continue;
+                }
+                shared.metrics().connections.incr();
+                let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+                let shared = Arc::clone(shared);
+                held.push(thread::spawn(move || {
+                    connection_loop(stream, conn_id, &shared)
+                }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(1));
@@ -599,71 +601,250 @@ fn accept_loop(
     }
 }
 
-/// Per-connection state the reader thread threads through `dispatch`:
-/// the accept-time id (reply-coalescing key), the shard the connection
-/// is pinned to, and the tenants it has resolved so far. The cache
-/// means a steady-state request touches neither the tenant registry
-/// lock nor the tenant's model lock — `Tenant::input_size` is
-/// immutable.
+/// Turns away a connection accepted at [`ServerConfig::max_connections`]:
+/// one `ServerBusy` error with id 0, then end of stream.
+fn refuse_connection(stream: &TcpStream) {
+    let refusal = Message::Error {
+        id: 0,
+        code: ErrorCode::ServerBusy,
+    };
+    let _ = refusal.write_to(&mut &*stream);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// A tenant one connection has resolved, with the observe requests
+/// addressed to it since the connection last published its counts.
+struct ConnTenant {
+    tenant: Arc<Tenant>,
+    requests: u64,
+}
+
+/// Per-connection state of the reader thread. Everything a read decodes
+/// is counted and batched here, then handed off once per read
+/// ([`ConnState::hand_off`]): admitted requests are plain
+/// [`Request`]s whose features sit back to back in `rows`, and refer to
+/// their tenant by id. The tenant cache means a steady-state request
+/// touches neither the tenant registry lock nor the tenant's model lock
+/// — `Tenant::input_size` is immutable.
 struct ConnState {
-    conn_id: u64,
+    conn: Arc<Connection>,
     shard: usize,
-    tenants: Vec<(u32, Arc<Tenant>)>,
+    tenants: Vec<ConnTenant>,
+    /// Index into `tenants` of the last tenant resolved.
+    last_tenant: usize,
+    /// Observe requests read since the counts were last published.
+    requests: u64,
+    /// This read's admitted requests and their features.
+    admitted: Vec<Request>,
+    rows: Vec<f64>,
+    /// The shard's queue depth, read once per read when the SLO first
+    /// prices a request.
+    depth: Option<usize>,
 }
 
 impl ConnState {
-    /// Resolves a tenant id, consulting the registry only on first
-    /// sight. Unknown ids are not negatively cached: a tenant added
-    /// after the miss is picked up on the next request.
-    fn resolve(&mut self, shared: &Shared, id: u32) -> Option<Arc<Tenant>> {
-        if let Some((_, t)) = self.tenants.iter().find(|(tid, _)| *tid == id) {
-            return Some(Arc::clone(t));
+    /// Resolves a tenant id to its index in the cache, consulting the
+    /// registry only on first sight. Unknown ids are not negatively
+    /// cached: a tenant added after the miss is picked up on the next
+    /// request. Tenants are never removed, so an index stays valid.
+    fn resolve(&mut self, shared: &Shared, id: u32) -> Option<usize> {
+        if self.tenants.get(self.last_tenant).map(|t| t.tenant.id) != Some(id) {
+            self.last_tenant = match self.tenants.iter().position(|t| t.tenant.id == id) {
+                Some(index) => index,
+                None => {
+                    let tenant = shared.find_tenant(id)?;
+                    self.tenants.push(ConnTenant {
+                        tenant,
+                        requests: 0,
+                    });
+                    self.tenants.len() - 1
+                }
+            };
         }
-        let t = shared.find_tenant(id)?;
-        self.tenants.push((id, Arc::clone(&t)));
-        Some(t)
+        Some(self.last_tenant)
+    }
+
+    /// Handles one decoded frame; `false` closes the connection.
+    fn dispatch(&mut self, shared: &Shared, frame: Frame) -> bool {
+        match frame {
+            Frame::Observe { id, tenant, len } => self.admit(shared, id, tenant, len),
+            Frame::Other(Message::Ping { id }) => {
+                self.publish(shared);
+                shared.metrics().pings.incr();
+                self.conn.send(&Message::Pong { id }).is_ok()
+            }
+            // A response kind arriving at the server is a protocol
+            // violation by the peer (an observe is never `Other`).
+            Frame::Other(_) => {
+                shared.metrics().wire_errors.incr();
+                false
+            }
+        }
+    }
+
+    /// Admission control for one observe request whose `len` features
+    /// end `rows`: it joins the read's batch, or its features are
+    /// dropped and a typed refusal is written at once.
+    fn admit(&mut self, shared: &Shared, id: u64, tenant_id: u32, len: usize) -> bool {
+        self.requests += 1;
+        let Some(t) = self.resolve(shared, tenant_id) else {
+            return self.refuse(shared, None, id, ErrorCode::UnknownTenant, len);
+        };
+        self.tenants[t].requests += 1;
+        if len != self.tenants[t].tenant.input_size {
+            return self.refuse(shared, Some(t), id, ErrorCode::BadObservation, len);
+        }
+        if let Some(max_delay) = shared.config.max_queue_delay {
+            let shard = &shared.shards[self.shard];
+            let ewma = shard.ewma_ns_per_req.load(Ordering::Relaxed);
+            // ewma == 0 means no flush has priced a request yet; admit.
+            // Requests this read already admitted queue ahead of this
+            // one as surely as those in the shard's queue.
+            if ewma > 0 {
+                let depth = *self.depth.get_or_insert_with(|| shard.queue.depth());
+                let ahead = (depth + self.admitted.len()) as u128;
+                if ahead * u128::from(ewma) > max_delay.as_nanos() {
+                    return self.refuse(shared, Some(t), id, ErrorCode::Overloaded, len);
+                }
+            }
+        }
+        self.admitted.push(Request {
+            id,
+            tenant: tenant_id,
+            len: len as u32,
+        });
+        true
+    }
+
+    /// Drops a refused request's `len` features, counts the refusal
+    /// (after publishing the requests counted so far, so a client that
+    /// holds the error also sees its request counted), and writes the
+    /// error at once; it may overtake queued `Action`s.
+    fn refuse(
+        &mut self,
+        shared: &Shared,
+        tenant: Option<usize>,
+        id: u64,
+        code: ErrorCode,
+        len: usize,
+    ) -> bool {
+        self.rows.truncate(self.rows.len() - len);
+        self.publish(shared);
+        {
+            let mut m = shared.metrics();
+            match code {
+                ErrorCode::UnknownTenant => m.unknown_tenant.incr(),
+                ErrorCode::BadObservation => m.bad_observations.incr(),
+                _ => m.slo_rejections.incr(),
+            }
+        }
+        if let Some(t) = tenant {
+            let mut tm = self.tenants[t].tenant.metrics();
+            match code {
+                ErrorCode::BadObservation => tm.bad_observations.incr(),
+                _ => tm.slo_rejections.incr(),
+            }
+        }
+        self.conn.send(&Message::Error { id, code }).is_ok()
+    }
+
+    /// Adds the requests counted since the last publish to the global
+    /// and per-tenant `requests` counters, under their locks.
+    fn publish(&mut self, shared: &Shared) {
+        if self.requests == 0 {
+            return;
+        }
+        shared
+            .metrics()
+            .requests
+            .add(std::mem::take(&mut self.requests));
+        for t in self.tenants.iter_mut().filter(|t| t.requests > 0) {
+            t.tenant
+                .metrics()
+                .requests
+                .add(std::mem::take(&mut t.requests));
+        }
+    }
+
+    /// The read's one hand-off: publishes its counts, then moves every
+    /// request it admitted into the shard's queue in one
+    /// [`BatchQueue::push_batch`]. A refused suffix is answered in one
+    /// write, `ServerBusy` beyond capacity and `ShuttingDown` once the
+    /// queue is closed, which also closes the connection (`false`).
+    fn hand_off(&mut self, shared: &Shared) -> bool {
+        self.publish(shared);
+        self.depth = None;
+        if self.admitted.is_empty() {
+            return true;
+        }
+        let queue = &shared.shards[self.shard].queue;
+        let code = match queue.push_batch(&mut self.admitted, &mut self.rows, &self.conn) {
+            Ok(()) => return true,
+            Err(PushError::Busy) => {
+                let refused = self.admitted.len() as u64;
+                shared.metrics().busy_rejections.add(refused);
+                ErrorCode::ServerBusy
+            }
+            Err(PushError::Closed) => ErrorCode::ShuttingDown,
+        };
+        let mut frames = Vec::new();
+        for r in self.admitted.drain(..) {
+            Message::Error { id: r.id, code }.encode_into(&mut frames);
+        }
+        self.conn.send_bytes(&frames).is_ok() && code == ErrorCode::ServerBusy
     }
 }
 
 fn connection_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let stream = Arc::new(stream);
-    let writer = ReplyWriter::new(Arc::clone(&stream));
-    let mut conn = ConnState {
-        conn_id,
+    let mut state = ConnState {
+        conn: Arc::new(Connection {
+            id: conn_id,
+            stream,
+            write: Mutex::new(()),
+        }),
         shard: (conn_id % shared.shards.len() as u64) as usize,
         tenants: Vec::new(),
+        last_tenant: 0,
+        requests: 0,
+        admitted: Vec::new(),
+        rows: Vec::new(),
+        depth: None,
     };
     // Frames are decoded out of this buffer, so a read timeout can
     // never lose the prefix of a half-arrived frame, and one syscall
     // drains as many pipelined frames as the kernel has buffered.
     let mut buf: Vec<u8> = Vec::new();
-    let mut consumed = 0usize;
     let mut chunk = [0u8; 16 * 1024];
     loop {
-        match Message::decode(&buf[consumed..]) {
-            Ok((msg, used)) => {
-                consumed += used;
-                if !dispatch(shared, &mut conn, &writer, msg) {
-                    return;
+        let mut consumed = 0usize;
+        let open = loop {
+            match decode_frame(&buf[consumed..], &mut state.rows) {
+                Ok((frame, used)) => {
+                    consumed += used;
+                    if !state.dispatch(shared, frame) {
+                        break false;
+                    }
                 }
-                continue;
-            }
-            Err(WireError::Truncated) => {
                 // Incomplete frame: keep the bytes, read more below.
-                buf.drain(..consumed);
-                consumed = 0;
+                Err(WireError::Truncated) => break true,
+                Err(_) => {
+                    // Hostile or corrupt bytes: count it and drop the
+                    // connection — resynchronizing an arbitrary stream
+                    // is not worth the attack surface.
+                    shared.metrics().wire_errors.incr();
+                    break false;
+                }
             }
-            Err(_) => {
-                // Hostile or corrupt bytes: count it and drop the
-                // connection — resynchronizing an arbitrary stream is
-                // not worth the attack surface.
-                shared.metrics().wire_errors.incr();
-                return;
-            }
+        };
+        // Whatever the read admitted is queued before the next blocking
+        // read, and before the connection closes.
+        if !state.hand_off(shared) || !open {
+            return;
         }
-        match (&*stream).read(&mut chunk) {
+        buf.drain(..consumed);
+        match (&state.conn.stream).read(&mut chunk) {
             Ok(0) => {
                 if !buf.is_empty() {
                     shared.metrics().wire_errors.incr(); // EOF mid-frame
@@ -683,243 +864,167 @@ fn connection_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
     }
 }
 
-/// Handles one decoded frame; `false` closes the connection.
-fn dispatch(
-    shared: &Arc<Shared>,
-    conn: &mut ConnState,
-    writer: &ReplyWriter,
-    msg: Message,
-) -> bool {
-    match msg {
-        Message::Ping { id } => {
-            shared.metrics().pings.incr();
-            writer.send(&Message::Pong { id }).is_ok()
-        }
-        Message::Observe {
-            id,
-            tenant,
-            observation,
-        } => {
-            shared.metrics().requests.incr();
-            handle_observe(shared, conn, writer, id, tenant, observation)
-        }
-        // A response kind arriving at the server is a protocol
-        // violation by the peer.
-        Message::Action { .. } | Message::Pong { .. } | Message::Error { .. } => {
-            shared.metrics().wire_errors.incr();
-            false
-        }
-    }
-}
-
-/// Admission control plus enqueue; the shard's batch worker writes the
-/// `Action` reply. Rejections are written here, and `ShuttingDown`
-/// also closes the connection.
-fn handle_observe(
-    shared: &Arc<Shared>,
-    conn: &mut ConnState,
-    writer: &ReplyWriter,
-    id: u64,
-    tenant_id: u32,
-    observation: Vec<f64>,
-) -> bool {
-    let Some(tenant) = conn.resolve(shared, tenant_id) else {
-        shared.metrics().unknown_tenant.incr();
-        return writer
-            .send(&Message::Error {
-                id,
-                code: ErrorCode::UnknownTenant,
-            })
-            .is_ok();
-    };
-    tenant.metrics().requests.incr();
-    if observation.len() != tenant.input_size {
-        shared.metrics().bad_observations.incr();
-        tenant.metrics().bad_observations.incr();
-        return writer
-            .send(&Message::Error {
-                id,
-                code: ErrorCode::BadObservation,
-            })
-            .is_ok();
-    }
-    let shard = &shared.shards[conn.shard];
-    if let Some(max_delay) = shared.config.max_queue_delay {
-        let ewma = shard.ewma_ns_per_req.load(Ordering::Relaxed);
-        // ewma == 0 means no flush has priced a request yet; admit.
-        if ewma > 0 {
-            let est_ns = shard.queue.depth() as u128 * u128::from(ewma);
-            if est_ns > max_delay.as_nanos() {
-                shared.metrics().slo_rejections.incr();
-                tenant.metrics().slo_rejections.incr();
-                return writer
-                    .send(&Message::Error {
-                        id,
-                        code: ErrorCode::Overloaded,
-                    })
-                    .is_ok();
-            }
-        }
-    }
-    let pending = PendingRequest {
-        observation,
-        enqueued: Instant::now(),
-        reply: Reply {
-            id,
-            conn: conn.conn_id,
-            tenant,
-            writer: writer.clone(),
-        },
-    };
-    match shard.queue.push(pending) {
-        Ok(()) => true,
-        Err(PushError::Busy) => {
-            shared.metrics().busy_rejections.incr();
-            writer
-                .send(&Message::Error {
-                    id,
-                    code: ErrorCode::ServerBusy,
-                })
-                .is_ok()
-        }
-        Err(PushError::Closed) => {
-            let _ = writer.send(&Message::Error {
-                id,
-                code: ErrorCode::ShuttingDown,
-            });
-            false
-        }
-    }
-}
-
 /// One connection's coalesced replies for the current flush. Buffers
 /// are reused across flushes (cleared, capacity retained) and the map
-/// is keyed by the accept-time connection id — `O(1)` per request where
-/// the old `Vec` scan was `O(batch)`.
+/// is keyed by the accept-time connection id, looked up once per run of
+/// requests rather than once per request.
 struct ReplyBuf {
-    writer: ReplyWriter,
+    conn: Arc<Connection>,
     frames: Vec<u8>,
     last_flush: u64,
 }
 
+/// A tenant as one batch worker sees it: the registry entry, the
+/// decision memo and forward scratch of its current model (both
+/// replaced when the tenant's model `Arc` changes: a reload may change
+/// every action and resize layers), and this flush's rows.
+struct WorkerTenant {
+    tenant: Arc<Tenant>,
+    memo: DecisionMemo,
+    scratch: BatchScratch,
+    /// This flush's rows: request index, start of its features in the
+    /// batch's rows, and when its run was queued.
+    rows: Vec<(usize, usize, Instant)>,
+}
+
+impl WorkerTenant {
+    fn new(tenant: Arc<Tenant>) -> WorkerTenant {
+        let model = tenant.current_model();
+        WorkerTenant {
+            scratch: model.scratch(),
+            memo: DecisionMemo::new(model),
+            tenant,
+            rows: Vec::new(),
+        }
+    }
+}
+
 fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
     let shard = &shared.shards[shard_index];
-    let mut pending: Vec<PendingRequest<Reply>> = Vec::new();
+    let mut batch: Batch<Arc<Connection>> = Batch::default();
     let mut group_actions: Vec<usize> = Vec::new();
     let mut actions: Vec<u32> = Vec::new();
-    let mut groups: Vec<(Arc<Tenant>, Vec<usize>)> = Vec::new();
-    // Decision memo and forward scratch per tenant, both replaced when
-    // the tenant's model Arc changes: a reload may change every action
-    // and resize layers.
-    let mut memos: HashMap<u32, (DecisionMemo, BatchScratch)> = HashMap::new();
+    let mut tenants: Vec<WorkerTenant> = Vec::new();
     let mut replies: HashMap<u64, ReplyBuf> = HashMap::new();
     let mut touched: Vec<u64> = Vec::new();
     let mut flush_seq: u64 = 0;
-    loop {
-        let alive = shard.queue.next_batch(shared.config.max_wait, &mut pending);
-        if !pending.is_empty() {
-            let flush_start = Instant::now();
-            // Group this flush's rows by tenant: at most one forward per
-            // tenant group, each answered by exactly one model version
-            // (the Arc is cloned once per group), reload or not.
-            groups.clear();
-            for (row, p) in pending.iter().enumerate() {
-                match groups
-                    .iter_mut()
-                    .find(|(t, _)| Arc::ptr_eq(t, &p.reply.tenant))
-                {
-                    Some((_, rows)) => rows.push(row),
-                    None => groups.push((Arc::clone(&p.reply.tenant), vec![row])),
+    while let Some(depth) = shard.queue.next_batch(shared.config.max_wait, &mut batch) {
+        let flush_start = Instant::now();
+        // Group this flush's rows by tenant id: at most one forward per
+        // tenant group, each answered by exactly one model version (the
+        // Arc is cloned once per group), reload or not.
+        for t in &mut tenants {
+            t.rows.clear();
+        }
+        let (mut index, mut start, mut last) = (0, 0, 0);
+        for run in &batch.runs {
+            for r in &batch.requests[index..index + run.len] {
+                if tenants.get(last).map(|t| t.tenant.id) != Some(r.tenant) {
+                    last = match tenants.iter().position(|t| t.tenant.id == r.tenant) {
+                        Some(found) => found,
+                        None => {
+                            let tenant = shared
+                                .find_tenant(r.tenant)
+                                .expect("admitted tenants are never removed");
+                            tenants.push(WorkerTenant::new(tenant));
+                            tenants.len() - 1
+                        }
+                    };
                 }
-            }
-            actions.clear();
-            actions.resize(pending.len(), 0);
-            let mut flush_hits = 0;
-            for (tenant, rows) in &groups {
-                let model = tenant.current_model();
-                let fresh = || (DecisionMemo::new(Arc::clone(&model)), model.scratch());
-                let entry = memos.entry(tenant.id).or_insert_with(fresh);
-                if !Arc::ptr_eq(entry.0.policy(), &model) {
-                    *entry = fresh();
-                }
-                let (memo, scratch) = entry;
-                let observations = rows.iter().map(|&row| pending[row].observation.as_slice());
-                let hits = memo.act_greedy_batch(observations, scratch, &mut group_actions) as u64;
-                flush_hits += hits;
-                for (&row, &action) in rows.iter().zip(&group_actions) {
-                    actions[row] = action as u32;
-                }
-                let now = Instant::now();
-                let mut tm = tenant.metrics();
-                tm.responses.add(rows.len() as u64);
-                tm.memo_hits.add(hits);
-                tm.memo_misses.add(rows.len() as u64 - hits);
-                for &row in rows {
-                    tm.latency_us
-                        .record(now.duration_since(pending[row].enqueued).as_secs_f64() * 1e6);
-                }
-            }
-            let now = Instant::now();
-            {
-                let mut m = shared.metrics();
-                m.batches.incr();
-                m.batch_size.record(pending.len() as f64);
-                m.queue_depth.record(shard.queue.depth() as f64);
-                m.responses.add(pending.len() as u64);
-                m.memo_hits.add(flush_hits);
-                m.memo_misses.add(pending.len() as u64 - flush_hits);
-                for p in &pending {
-                    m.latency_us
-                        .record(now.duration_since(p.enqueued).as_secs_f64() * 1e6);
-                }
-            }
-            // Price this flush for the SLO estimate: service cost per
-            // request, EWMA-smoothed (α = 1/8). Socket writes are
-            // excluded — a slow peer must not poison admission for the
-            // whole shard.
-            let service_ns = flush_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            let cost = (service_ns / pending.len() as u64).max(1);
-            let old = shard.ewma_ns_per_req.load(Ordering::Relaxed);
-            let ewma = if old == 0 { cost } else { (7 * old + cost) / 8 };
-            shard.ewma_ns_per_req.store(ewma, Ordering::Relaxed);
-            // Coalesce this flush's replies in pending (arrival) order:
-            // one buffered write per connection instead of one syscall
-            // per request, preserving per-connection order even when a
-            // connection interleaves tenants. A write failure just
-            // means that connection died mid-flight; nothing to do.
-            flush_seq += 1;
-            touched.clear();
-            for (p, &action) in pending.iter().zip(&actions) {
-                let buf = replies.entry(p.reply.conn).or_insert_with(|| ReplyBuf {
-                    writer: p.reply.writer.clone(),
-                    frames: Vec::new(),
-                    last_flush: 0,
-                });
-                if buf.last_flush != flush_seq {
-                    buf.last_flush = flush_seq;
-                    buf.frames.clear();
-                    touched.push(p.reply.conn);
-                }
-                Message::Action {
-                    id: p.reply.id,
-                    action,
-                }
-                .encode_into(&mut buf.frames);
-            }
-            for conn in &touched {
-                if let Some(buf) = replies.get(conn) {
-                    let _ = buf.writer.send_bytes(&buf.frames);
-                }
-            }
-            // Bound the buffer cache: connection ids are never reused,
-            // so entries for closed connections would otherwise pin
-            // their sockets forever.
-            if replies.len() > REPLY_CACHE_LIMIT {
-                replies.retain(|_, b| flush_seq - b.last_flush <= REPLY_CACHE_KEEP);
+                tenants[last].rows.push((index, start, run.enqueued));
+                index += 1;
+                start += r.len as usize;
             }
         }
-        if !alive {
-            return;
+        let served = batch.requests.len() as u64;
+        actions.clear();
+        actions.resize(batch.requests.len(), 0);
+        let mut flush_hits = 0;
+        for t in tenants.iter_mut().filter(|t| !t.rows.is_empty()) {
+            let model = t.tenant.current_model();
+            if !Arc::ptr_eq(t.memo.policy(), &model) {
+                t.scratch = model.scratch();
+                t.memo = DecisionMemo::new(model);
+            }
+            let width = t.tenant.input_size;
+            let observations = t
+                .rows
+                .iter()
+                .map(|&(_, start, _)| &batch.rows[start..start + width]);
+            let hits = t
+                .memo
+                .act_greedy_batch(observations, &mut t.scratch, &mut group_actions)
+                as u64;
+            flush_hits += hits;
+            for (&(index, _, _), &action) in t.rows.iter().zip(&group_actions) {
+                actions[index] = action as u32;
+            }
+            // Each latency is recorded once, in its tenant's histogram;
+            // the global one is their merge, made at snapshot time.
+            let now = Instant::now();
+            let rows = t.rows.len() as u64;
+            let mut tm = t.tenant.metrics();
+            tm.responses.add(rows);
+            tm.memo_hits.add(hits);
+            tm.memo_misses.add(rows - hits);
+            for &(_, _, enqueued) in &t.rows {
+                tm.latency_us
+                    .record(now.duration_since(enqueued).as_secs_f64() * 1e6);
+            }
+        }
+        {
+            let mut m = shared.metrics();
+            m.batches.incr();
+            m.batch_size.record(served as f64);
+            m.queue_depth.record(depth as f64);
+            m.responses.add(served);
+            m.memo_hits.add(flush_hits);
+            m.memo_misses.add(served - flush_hits);
+        }
+        // Price this flush for the SLO estimate: service cost per
+        // request, EWMA-smoothed (α = 1/8). Socket writes are
+        // excluded — a slow peer must not poison admission for the
+        // whole shard.
+        let service_ns = flush_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let cost = (service_ns / served).max(1);
+        let old = shard.ewma_ns_per_req.load(Ordering::Relaxed);
+        let ewma = if old == 0 { cost } else { (7 * old + cost) / 8 };
+        shard.ewma_ns_per_req.store(ewma, Ordering::Relaxed);
+        // Coalesce this flush's replies in arrival order, one run at a
+        // time: one buffered write per connection instead of one
+        // syscall per request, preserving per-connection order even
+        // when a connection interleaves tenants. A write failure just
+        // means that connection died mid-flight; nothing to do.
+        flush_seq += 1;
+        touched.clear();
+        let mut index = 0;
+        for run in &batch.runs {
+            let buf = replies.entry(run.reply.id).or_insert_with(|| ReplyBuf {
+                conn: Arc::clone(&run.reply),
+                frames: Vec::new(),
+                last_flush: 0,
+            });
+            if buf.last_flush != flush_seq {
+                buf.last_flush = flush_seq;
+                buf.frames.clear();
+                touched.push(run.reply.id);
+            }
+            let requests = &batch.requests[index..index + run.len];
+            for (r, &action) in requests.iter().zip(&actions[index..]) {
+                Message::Action { id: r.id, action }.encode_into(&mut buf.frames);
+            }
+            index += run.len;
+        }
+        for conn in &touched {
+            if let Some(buf) = replies.get(conn) {
+                let _ = buf.conn.send_bytes(&buf.frames);
+            }
+        }
+        // Bound the buffer cache: connection ids are never reused,
+        // so entries for closed connections would otherwise pin
+        // their sockets forever.
+        if replies.len() > REPLY_CACHE_LIMIT {
+            replies.retain(|_, b| flush_seq - b.last_flush <= REPLY_CACHE_KEEP);
         }
     }
 }
@@ -942,8 +1047,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn closed_connection_threads_are_joined_at_the_next_accept() {
+    fn small_policy() -> GreedyPolicy {
         let config = DqnConfig {
             history_len: 3,
             num_channels: 4,
@@ -952,8 +1056,13 @@ mod tests {
             ..DqnConfig::default()
         };
         let agent = DqnAgent::new(config, &mut StdRng::seed_from_u64(1));
-        let policy = GreedyPolicy::from_agent(&agent);
-        let server = PolicyServer::bind("127.0.0.1:0", policy, ServerConfig::default()).unwrap();
+        GreedyPolicy::from_agent(&agent)
+    }
+
+    #[test]
+    fn closed_connection_threads_are_joined_at_the_next_accept() {
+        let server =
+            PolicyServer::bind("127.0.0.1:0", small_policy(), ServerConfig::default()).unwrap();
         let held = || server.connections.lock().unwrap();
         for _ in 0..64 {
             let mut client = PolicyClient::connect(server.local_addr()).unwrap();
@@ -973,6 +1082,60 @@ mod tests {
         assert!(
             count <= 2,
             "{count} connection handles held after 65 accepts"
+        );
+    }
+
+    #[test]
+    fn connections_beyond_the_cap_are_refused_with_server_busy() {
+        let config = ServerConfig {
+            max_connections: 4,
+            ..ServerConfig::default()
+        };
+        let server = PolicyServer::bind("127.0.0.1:0", small_policy(), config).unwrap();
+        let addr = server.local_addr();
+        let mut clients: Vec<PolicyClient> = (0..4)
+            .map(|_| {
+                let mut client = PolicyClient::connect(addr).unwrap();
+                client.ping().unwrap();
+                client
+            })
+            .collect();
+        // At the cap, a connection reads one ServerBusy (id 0), then EOF.
+        for _ in 0..4 {
+            let mut raw = TcpStream::connect(addr).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            match Message::read_from(&mut raw) {
+                Ok(Some(Message::Error {
+                    id: 0,
+                    code: ErrorCode::ServerBusy,
+                })) => {}
+                other => panic!("expected a ServerBusy refusal, got {other:?}"),
+            }
+            assert!(
+                matches!(Message::read_from(&mut raw), Ok(None)),
+                "a refused connection must end after the refusal"
+            );
+        }
+        // One client leaves; once its thread has finished, the next
+        // accept reaps it and there is room again.
+        drop(clients.pop());
+        wait_until("the closed connection's thread exits", || {
+            server
+                .connections
+                .lock()
+                .unwrap()
+                .iter()
+                .any(JoinHandle::is_finished)
+        });
+        let mut late = PolicyClient::connect(addr).unwrap();
+        late.ping().unwrap();
+        drop(clients);
+        let metrics = server.shutdown();
+        let counters = metrics.get("counters").expect("counters");
+        assert_eq!(counters.get("connections"), Some(&JsonValue::Num(5.0)));
+        assert_eq!(
+            counters.get("connections_refused"),
+            Some(&JsonValue::Num(4.0))
         );
     }
 }

@@ -179,6 +179,94 @@ fn pipelined_replies_stay_ordered_across_a_reload() {
     server.shutdown();
 }
 
+/// A burst of 3 × `max_batch` + 1 requests in one `write_all`, with a
+/// too-wide observation and one for an unknown tenant mixed in: the
+/// server decodes it into runs that the queue cuts at batch
+/// boundaries, drops each refused request's features from the read's
+/// row buffer, and every `Action` still comes back in request order,
+/// bit-exact, at 1 and 2 workers. The two errors may overtake them.
+#[test]
+fn one_pipelined_write_is_answered_in_order_across_batch_boundaries() {
+    let config = small_config();
+    let agent = trained_agent(&config, 51);
+    for workers in [1usize, 2] {
+        let server_config = ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        };
+        let total = 3 * server_config.max_batch + 1;
+        let refused_at = [2, server_config.max_batch + 5];
+        let server = PolicyServer::bind(
+            "127.0.0.1:0",
+            GreedyPolicy::from_agent(&agent),
+            server_config,
+        )
+        .expect("bind");
+        let obs = observations(&config, total, 8 + workers as u64);
+        let mut burst = Vec::new();
+        for (i, o) in obs.iter().enumerate() {
+            if i == refused_at[0] {
+                Message::Observe {
+                    id: 1_000,
+                    tenant: 0,
+                    observation: vec![1e9; config.input_size() + 3],
+                }
+                .encode_into(&mut burst);
+            }
+            if i == refused_at[1] {
+                Message::Observe {
+                    id: 1_001,
+                    tenant: 99,
+                    observation: vec![1e9; config.input_size()],
+                }
+                .encode_into(&mut burst);
+            }
+            Message::Observe {
+                id: i as u64,
+                tenant: 0,
+                observation: o.clone(),
+            }
+            .encode_into(&mut burst);
+        }
+        let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+        raw.set_nodelay(true).expect("nodelay");
+        raw.write_all(&burst).expect("write burst");
+        let (mut next, mut errors) = (0usize, Vec::new());
+        while next < total || errors.len() < 2 {
+            match Message::read_from(&mut raw).expect("read").expect("open") {
+                Message::Action { id, action } => {
+                    assert_eq!(id, next as u64, "reply out of order at {workers} workers");
+                    assert_eq!(
+                        action as usize,
+                        agent.act_greedy(&obs[next]),
+                        "request {next}"
+                    );
+                    next += 1;
+                }
+                Message::Error { id, code } => errors.push((id, code)),
+                other => panic!("unexpected reply at {workers} workers: {other:?}"),
+            }
+        }
+        assert_eq!(
+            errors,
+            vec![
+                (1_000, ErrorCode::BadObservation),
+                (1_001, ErrorCode::UnknownTenant)
+            ]
+        );
+        let metrics = server.shutdown();
+        let counters = metrics.get("counters").expect("counters");
+        assert_eq!(
+            counters.get("requests"),
+            Some(&JsonValue::Num(total as f64 + 2.0))
+        );
+        assert_eq!(
+            counters.get("responses"),
+            Some(&JsonValue::Num(total as f64))
+        );
+    }
+}
+
 /// Deterministic queue-delay SLO shed: prime the cost estimate with
 /// one flushed pair, park a third request against a far deadline, and
 /// the fourth must be refused with `Overloaded` — then the drain still
