@@ -176,7 +176,7 @@ impl<R: Clone> BatchQueue<R> {
 
     /// Marks the queue closed: further pushes fail with
     /// [`PushError::Closed`], and once the worker has drained what is
-    /// already queued, [`BatchQueue::next_batch`] returns `None`.
+    /// already queued, [`BatchQueue::next_batch`] returns `false`.
     pub fn close(&self) {
         self.inner.lock().expect("batch queue poisoned").closed = true;
         self.wakeup.notify_all();
@@ -197,10 +197,9 @@ impl<R: Clone> BatchQueue<R> {
     /// clone of its reply handle). A batch becomes ready when
     /// `max_batch` requests are queued, or `max_wait` has elapsed since
     /// the oldest queued request arrived, or the queue is closed (the
-    /// drain path flushes immediately). Returns the number of requests
-    /// left queued, or `None` — with `out` empty — only when the queue
-    /// is closed *and* fully drained.
-    pub fn next_batch(&self, max_wait: Duration, out: &mut Batch<R>) -> Option<usize> {
+    /// drain path flushes immediately). Returns `false` — with `out`
+    /// empty — only when the queue is closed *and* fully drained.
+    pub fn next_batch(&self, max_wait: Duration, out: &mut Batch<R>) -> bool {
         let max_batch = self.max_batch;
         out.requests.clear();
         out.rows.clear();
@@ -209,7 +208,7 @@ impl<R: Clone> BatchQueue<R> {
         loop {
             if inner.requests.is_empty() {
                 if inner.closed {
-                    return None;
+                    return false;
                 }
                 inner = self.wakeup.wait(inner).expect("batch queue poisoned");
                 continue;
@@ -267,7 +266,7 @@ impl<R: Clone> BatchQueue<R> {
                 left -= run.len;
                 out.runs.push(runs.pop_front().expect("front run exists"));
             }
-            return Some(requests.len());
+            return true;
         }
     }
 }
@@ -323,7 +322,7 @@ mod tests {
         // max_wait far in the future: only the size trigger can flush
         // this fast, and it must hand over exactly max_batch in order.
         let start = Instant::now();
-        assert_eq!(q.next_batch(Duration::from_secs(60), &mut out), Some(0));
+        assert!(q.next_batch(Duration::from_secs(60), &mut out));
         assert!(start.elapsed() < Duration::from_secs(5));
         assert_eq!(ids(&out), vec![0, 1, 2]);
     }
@@ -334,7 +333,7 @@ mod tests {
         push(&q, 7..8, ()).unwrap();
         let mut out = Batch::default();
         let start = Instant::now();
-        assert_eq!(q.next_batch(Duration::from_millis(20), &mut out), Some(0));
+        assert!(q.next_batch(Duration::from_millis(20), &mut out));
         assert_eq!(ids(&out), vec![7]);
         assert!(
             start.elapsed() < Duration::from_secs(5),
@@ -355,13 +354,15 @@ mod tests {
         let runs = |out: &Batch<char>| -> Vec<(usize, char)> {
             out.runs.iter().map(|r| (r.len, r.reply)).collect()
         };
-        assert_eq!(q.next_batch(Duration::from_millis(1), &mut out), Some(6));
+        assert!(q.next_batch(Duration::from_millis(1), &mut out));
         assert_eq!(ids(&out), vec![0, 1, 2, 3]);
         assert_eq!(runs(&out), vec![(3, 'a'), (1, 'b')]);
-        assert_eq!(q.next_batch(Duration::from_millis(1), &mut out), Some(2));
+        assert_eq!(q.depth(), 6);
+        assert!(q.next_batch(Duration::from_millis(1), &mut out));
         assert_eq!(ids(&out), vec![4, 5, 6, 7]);
         assert_eq!(runs(&out), vec![(4, 'b')]);
-        assert_eq!(q.next_batch(Duration::from_millis(1), &mut out), Some(0));
+        assert_eq!(q.depth(), 2);
+        assert!(q.next_batch(Duration::from_millis(1), &mut out));
         assert_eq!(ids(&out), vec![8, 9]);
         assert_eq!(runs(&out), vec![(2, 'c')]);
         assert_eq!(q.depth(), 0);
@@ -389,7 +390,7 @@ mod tests {
         assert!(rows.is_empty());
         let mut out = Batch::default();
         q.close();
-        assert_eq!(q.next_batch(Duration::from_secs(60), &mut out), Some(0));
+        assert!(q.next_batch(Duration::from_secs(60), &mut out));
         assert_eq!(ids(&out), vec![0, 1, 2, 3, 4]);
     }
 
@@ -406,10 +407,7 @@ mod tests {
         assert!(rows.is_empty());
         assert_eq!(q.depth(), 0);
         assert_eq!(wakes(&q), 0);
-        assert_eq!(
-            q.next_batch(Duration::from_secs(60), &mut Batch::default()),
-            None
-        );
+        assert!(!q.next_batch(Duration::from_secs(60), &mut Batch::default()));
     }
 
     #[test]
@@ -421,9 +419,9 @@ mod tests {
         let mut out = Batch::default();
         // Closed: the pending requests flush without waiting out the
         // deadline, then the queue reports drained.
-        assert_eq!(q.next_batch(Duration::from_secs(60), &mut out), Some(0));
+        assert!(q.next_batch(Duration::from_secs(60), &mut out));
         assert_eq!(ids(&out), vec![0, 1]);
-        assert_eq!(q.next_batch(Duration::from_secs(60), &mut out), None);
+        assert!(!q.next_batch(Duration::from_secs(60), &mut out));
         assert!(out.requests.is_empty() && out.rows.is_empty() && out.runs.is_empty());
     }
 
@@ -436,7 +434,7 @@ mod tests {
         };
         thread::sleep(Duration::from_millis(50));
         q.close();
-        assert_eq!(worker.join().expect("worker panicked"), None);
+        assert!(!worker.join().expect("worker panicked"));
     }
 
     #[test]
@@ -453,7 +451,7 @@ mod tests {
             thread::spawn(move || {
                 let mut out = Batch::default();
                 let start = Instant::now();
-                assert!(q.next_batch(max_wait, &mut out).is_some());
+                assert!(q.next_batch(max_wait, &mut out));
                 (start.elapsed(), out.requests.len())
             })
         };
@@ -480,28 +478,21 @@ mod tests {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut out = Batch::default();
-                let left = q.next_batch(Duration::from_secs(60), &mut out);
-                (left, out.requests.len())
+                let alive = q.next_batch(Duration::from_secs(60), &mut out);
+                (alive, out.requests.len())
             })
         };
         thread::sleep(Duration::from_millis(50));
         let start = Instant::now();
         q.close();
-        let (left, got) = worker.join().expect("worker panicked");
-        assert_eq!(
-            left,
-            Some(0),
-            "the queued request must flush before the end"
-        );
+        let (alive, got) = worker.join().expect("worker panicked");
+        assert!(alive, "the queued request must flush before the end");
         assert_eq!(got, 1);
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "close() left the worker waiting out the deadline"
         );
-        assert_eq!(
-            q.next_batch(Duration::from_secs(60), &mut Batch::default()),
-            None
-        );
+        assert!(!q.next_batch(Duration::from_secs(60), &mut Batch::default()));
     }
 
     /// Runs `next_batch(max_wait)` on its own thread; the receiver
@@ -633,11 +624,12 @@ mod tests {
         push(&q, 0..9, ()).unwrap();
         let mut out = Batch::default();
         let start = Instant::now();
-        assert_eq!(q.next_batch(Duration::from_secs(60), &mut out), Some(5));
+        assert!(q.next_batch(Duration::from_secs(60), &mut out));
         assert_eq!(out.requests.len(), 4);
+        assert_eq!(q.depth(), 5);
         // Five remain, more than max_batch: no push will wake the
         // worker again, so the next call must not wait at all.
-        assert_eq!(q.next_batch(Duration::from_secs(60), &mut out), Some(1));
+        assert!(q.next_batch(Duration::from_secs(60), &mut out));
         assert_eq!(out.requests.len(), 4);
         assert!(start.elapsed() < Duration::from_secs(5));
         assert_eq!(q.depth(), 1);
@@ -654,7 +646,7 @@ mod tests {
             thread::spawn(move || {
                 let mut out = Batch::default();
                 let mut seen = 0usize;
-                while q.next_batch(Duration::from_micros(200), &mut out).is_some() {
+                while q.next_batch(Duration::from_micros(200), &mut out) {
                     let mut requests = out.requests.iter();
                     for run in &out.runs {
                         for r in requests.by_ref().take(run.len) {

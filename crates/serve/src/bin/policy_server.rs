@@ -12,6 +12,10 @@
 //! workloads of `benchmark/`, the chaos tests) parse the `LISTENING`
 //! line for the resolved port and close stdin to stop the server.
 //!
+//! At most 1024 connections are open at once (each holds one thread);
+//! a connection beyond that reads one `ServerBusy` error with id 0 and
+//! is closed.
+//!
 //! Environment knobs (the numeric ones must be unsigned integers; any
 //! other value exits with status 2 before the server starts):
 //!
@@ -25,9 +29,6 @@
 //! * `CTJAM_SERVE_MAX_QUEUE_DELAY_US` — queue-delay SLO: shed requests
 //!   with `Overloaded` when a shard's estimated queue delay exceeds
 //!   this many microseconds (unset = no shedding)
-//! * `CTJAM_SERVE_MAX_CONNECTIONS` — cap on open connections (default
-//!   1024); a connection beyond it reads one `ServerBusy` error with
-//!   id 0 and is closed
 //! * `CTJAM_SERVE_TENANTS` — extra tenants as
 //!   `id=path.ckpt;id=path.ckpt` (the positional checkpoint is always
 //!   tenant 0, which v1 clients address implicitly)
@@ -64,8 +65,6 @@ fn server_config() -> Result<ServerConfig, String> {
         queue_capacity: env_uint("CTJAM_SERVE_QUEUE_CAP")?.unwrap_or(defaults.queue_capacity),
         workers: env_uint("CTJAM_SERVE_WORKERS")?.unwrap_or(defaults.workers),
         max_queue_delay: env_uint("CTJAM_SERVE_MAX_QUEUE_DELAY_US")?.map(Duration::from_micros),
-        max_connections: env_uint("CTJAM_SERVE_MAX_CONNECTIONS")?
-            .unwrap_or(defaults.max_connections),
         ..defaults
     })
 }

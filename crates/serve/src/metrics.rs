@@ -11,33 +11,38 @@
 //! counters plus the batch-size / queue-depth / latency histograms with
 //! their p50/p95/p99 summaries — into one `JsonValue` for export: the
 //! global `latency_us` is the merge of the tenants' histograms, and the
-//! tenants nest under a `"tenants"` object keyed by tenant id. Global counters aggregate
-//! across tenants, so a single-tenant deployment reads exactly like it
-//! did pre-tenancy.
+//! tenants nest under a `"tenants"` object keyed by tenant id. Global
+//! counters aggregate across tenants, so a single-tenant deployment
+//! reads exactly like it did pre-tenancy.
 
 use ctjam_telemetry::export::histogram_json;
 use ctjam_telemetry::stats::{Counter, Histogram};
 use ctjam_telemetry::JsonValue;
+use std::ops::Deref;
 
-/// The server's metrics as one JSON object: `global`'s counters and
-/// histograms, with every tenant's `latency_us` merged into its own
-/// (the server records a request's latency only in its tenant's
-/// histogram; the merge is exact and order-invariant, so count, mean,
-/// bins and percentiles equal recording every latency in both), and
-/// each tenant's [`TenantMetrics::to_json`] under `"tenants" → "<id>"`.
-pub(crate) fn snapshot<'t>(
-    global: &ServeMetrics,
-    tenants: impl IntoIterator<Item = (u32, &'t TenantMetrics)>,
+/// The server's metrics as one JSON object: `global` (a
+/// [`ServeMetrics::to_json`]) with its `latency_us` replaced by the
+/// merge of every tenant's, and each tenant's
+/// [`TenantMetrics::to_json`] under `"tenants" → "<id>"`. The server
+/// records a request's latency only in its tenant's histogram; the
+/// merge is exact and order-invariant, so count, mean, bins and
+/// percentiles equal recording every latency globally as well. Each
+/// tenant is dropped once read, so a tenant yielded behind its lock
+/// guard stays locked for its own entry only.
+pub(crate) fn snapshot<M: Deref<Target = TenantMetrics>>(
+    mut global: JsonValue,
+    tenants: impl IntoIterator<Item = (u32, M)>,
 ) -> JsonValue {
-    let mut merged = global.clone();
+    let mut latency = ServeMetrics::latency_histogram();
     let mut tenant_json = JsonValue::object();
     for (id, t) in tenants {
-        merged.latency_us.merge(&t.latency_us);
+        latency.merge(&t.latency_us);
         tenant_json.set(&id.to_string(), t.to_json());
     }
-    let mut json = merged.to_json();
-    json.set("tenants", tenant_json);
-    json
+    global
+        .set("latency_us", histogram_json(&latency))
+        .set("tenants", tenant_json);
+    global
 }
 
 /// Counters and distributions describing one server's lifetime.
@@ -45,7 +50,7 @@ pub(crate) fn snapshot<'t>(
 pub struct ServeMetrics {
     /// Connections accepted.
     pub connections: Counter,
-    /// Connections turned away at the `max_connections` cap.
+    /// Connections turned away at the open-connection cap.
     pub connections_refused: Counter,
     /// Observe requests read off the wire.
     pub requests: Counter,
@@ -75,11 +80,13 @@ pub struct ServeMetrics {
     pub memo_misses: Counter,
     /// Requests per flushed batch (mean = batch occupancy).
     pub batch_size: Histogram,
-    /// Requests left queued when each batch was taken.
+    /// Queue depth observed after each flush.
     pub queue_depth: Histogram,
     /// Enqueue→reply latency per request, microseconds. The server
-    /// records latencies per tenant only, and its snapshot merges them
-    /// into this one.
+    /// records each latency in its tenant's histogram only and leaves
+    /// this one empty: its snapshot
+    /// ([`crate::server::PolicyServer::metrics_json`]) reports the merge
+    /// of the tenants' histograms under this key.
     pub latency_us: Histogram,
 }
 
@@ -272,8 +279,8 @@ mod tests {
         global.responses.add(7);
         let expected = histogram_json(&recorded_twice.latency_us);
         for json in [
-            snapshot(&global, [(0, &a), (7, &b)]),
-            snapshot(&global, [(7, &b), (0, &a)]),
+            snapshot(global.to_json(), [(0, &a), (7, &b)]),
+            snapshot(global.to_json(), [(7, &b), (0, &a)]),
         ] {
             assert_eq!(json.get("latency_us"), Some(&expected));
             let counters = json.get("counters").expect("counters");

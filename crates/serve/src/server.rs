@@ -51,7 +51,7 @@
 //!   window one filesystem-timestamp granule.)
 //!
 //! Admission control is three-layered: at accept, a connection beyond
-//! [`ServerConfig::max_connections`] is sent `ServerBusy` and closed;
+//! `MAX_CONNECTIONS` (1024) open ones is sent `ServerBusy` and closed;
 //! the bounded queue refuses requests beyond `queue_capacity` with
 //! `ServerBusy` (hard backstop); and when
 //! [`ServerConfig::max_queue_delay`] is set, a request whose estimated
@@ -143,11 +143,6 @@ pub struct ServerConfig {
     /// is shed before a shard's first flush establishes a cost
     /// estimate.
     pub max_queue_delay: Option<Duration>,
-    /// Cap on open connections, each of which holds one thread. A
-    /// connection accepted at the cap is sent one
-    /// `Error { id: 0, code: ServerBusy }` and closed, and counted in
-    /// `connections_refused`.
-    pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
@@ -159,10 +154,15 @@ impl Default for ServerConfig {
             poll_interval: Duration::from_millis(25),
             workers: 0,
             max_queue_delay: None,
-            max_connections: 1024,
         }
     }
 }
+
+/// Cap on open connections, each of which holds one thread. A
+/// connection accepted at the cap is sent one
+/// `Error { id: 0, code: ServerBusy }`, closed, and counted in
+/// `connections_refused`.
+const MAX_CONNECTIONS: usize = 1024;
 
 /// Reply-buffer cache bound per worker: above this many cached
 /// connections, entries idle for [`REPLY_CACHE_KEEP`] flushes are
@@ -349,6 +349,17 @@ impl PolicyServer {
         policy: GreedyPolicy,
         config: ServerConfig,
     ) -> io::Result<PolicyServer> {
+        PolicyServer::bind_capped(addr, policy, config, MAX_CONNECTIONS)
+    }
+
+    /// [`PolicyServer::bind`] with `max_connections` open connections
+    /// allowed instead of [`MAX_CONNECTIONS`].
+    fn bind_capped<A: ToSocketAddrs>(
+        addr: A,
+        policy: GreedyPolicy,
+        config: ServerConfig,
+        max_connections: usize,
+    ) -> io::Result<PolicyServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -380,7 +391,7 @@ impl PolicyServer {
         let accept = {
             let shared = Arc::clone(&shared);
             let connections = Arc::clone(&connections);
-            thread::spawn(move || accept_loop(&listener, &shared, &connections))
+            thread::spawn(move || accept_loop(&listener, &shared, &connections, max_connections))
         };
         let workers = (0..worker_count)
             .map(|shard| {
@@ -505,13 +516,11 @@ impl PolicyServer {
     /// Snapshot of the server's metrics as JSON: the global counters
     /// and histograms, plus one entry per tenant under `"tenants"`.
     pub fn metrics_json(&self) -> JsonValue {
+        // One lock at a time, global first: a snapshot never stalls
+        // every connection thread and worker at once.
+        let global = self.shared.metrics().to_json();
         let tenants = self.shared.tenants.read().expect("tenant list poisoned");
-        let held: Vec<(u32, MutexGuard<'_, TenantMetrics>)> =
-            tenants.iter().map(|t| (t.id, t.metrics())).collect();
-        metrics::snapshot(
-            &self.shared.metrics(),
-            held.iter().map(|(id, m)| (*id, &**m)),
-        )
+        metrics::snapshot(global, tenants.iter().map(|t| (t.id, t.metrics())))
     }
 
     /// Mean requests per flushed batch so far, across all workers (NaN
@@ -568,6 +577,7 @@ fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    max_connections: usize,
 ) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -578,7 +588,7 @@ fn accept_loop(
                 for done in held.extract_if(.., |h| h.is_finished()) {
                     let _ = done.join();
                 }
-                if held.len() >= shared.config.max_connections {
+                if held.len() >= max_connections {
                     drop(held);
                     shared.metrics().connections_refused.incr();
                     refuse_connection(&stream);
@@ -601,8 +611,8 @@ fn accept_loop(
     }
 }
 
-/// Turns away a connection accepted at [`ServerConfig::max_connections`]:
-/// one `ServerBusy` error with id 0, then end of stream.
+/// Turns away a connection accepted at the connection cap: one
+/// `ServerBusy` error with id 0, then end of stream.
 fn refuse_connection(stream: &TcpStream) {
     let refusal = Message::Error {
         id: 0,
@@ -630,8 +640,6 @@ struct ConnState {
     conn: Arc<Connection>,
     shard: usize,
     tenants: Vec<ConnTenant>,
-    /// Index into `tenants` of the last tenant resolved.
-    last_tenant: usize,
     /// Observe requests read since the counts were last published.
     requests: u64,
     /// This read's admitted requests and their features.
@@ -648,20 +656,15 @@ impl ConnState {
     /// cached: a tenant added after the miss is picked up on the next
     /// request. Tenants are never removed, so an index stays valid.
     fn resolve(&mut self, shared: &Shared, id: u32) -> Option<usize> {
-        if self.tenants.get(self.last_tenant).map(|t| t.tenant.id) != Some(id) {
-            self.last_tenant = match self.tenants.iter().position(|t| t.tenant.id == id) {
-                Some(index) => index,
-                None => {
-                    let tenant = shared.find_tenant(id)?;
-                    self.tenants.push(ConnTenant {
-                        tenant,
-                        requests: 0,
-                    });
-                    self.tenants.len() - 1
-                }
-            };
+        if let Some(index) = self.tenants.iter().position(|t| t.tenant.id == id) {
+            return Some(index);
         }
-        Some(self.last_tenant)
+        let tenant = shared.find_tenant(id)?;
+        self.tenants.push(ConnTenant {
+            tenant,
+            requests: 0,
+        });
+        Some(self.tenants.len() - 1)
     }
 
     /// Handles one decoded frame; `false` closes the connection.
@@ -806,7 +809,6 @@ fn connection_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
         }),
         shard: (conn_id % shared.shards.len() as u64) as usize,
         tenants: Vec::new(),
-        last_tenant: 0,
         requests: 0,
         admitted: Vec::new(),
         rows: Vec::new(),
@@ -908,7 +910,7 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
     let mut replies: HashMap<u64, ReplyBuf> = HashMap::new();
     let mut touched: Vec<u64> = Vec::new();
     let mut flush_seq: u64 = 0;
-    while let Some(depth) = shard.queue.next_batch(shared.config.max_wait, &mut batch) {
+    while shard.queue.next_batch(shared.config.max_wait, &mut batch) {
         let flush_start = Instant::now();
         // Group this flush's rows by tenant id: at most one forward per
         // tenant group, each answered by exactly one model version (the
@@ -916,22 +918,20 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
         for t in &mut tenants {
             t.rows.clear();
         }
-        let (mut index, mut start, mut last) = (0, 0, 0);
+        let (mut index, mut start) = (0, 0);
         for run in &batch.runs {
             for r in &batch.requests[index..index + run.len] {
-                if tenants.get(last).map(|t| t.tenant.id) != Some(r.tenant) {
-                    last = match tenants.iter().position(|t| t.tenant.id == r.tenant) {
-                        Some(found) => found,
-                        None => {
-                            let tenant = shared
-                                .find_tenant(r.tenant)
-                                .expect("admitted tenants are never removed");
-                            tenants.push(WorkerTenant::new(tenant));
-                            tenants.len() - 1
-                        }
-                    };
-                }
-                tenants[last].rows.push((index, start, run.enqueued));
+                let t = match tenants.iter().position(|t| t.tenant.id == r.tenant) {
+                    Some(found) => found,
+                    None => {
+                        let tenant = shared
+                            .find_tenant(r.tenant)
+                            .expect("admitted tenants are never removed");
+                        tenants.push(WorkerTenant::new(tenant));
+                        tenants.len() - 1
+                    }
+                };
+                tenants[t].rows.push((index, start, run.enqueued));
                 index += 1;
                 start += r.len as usize;
             }
@@ -972,6 +972,7 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
                     .record(now.duration_since(enqueued).as_secs_f64() * 1e6);
             }
         }
+        let depth = shard.queue.depth();
         {
             let mut m = shared.metrics();
             m.batches.incr();
@@ -1087,11 +1088,9 @@ mod tests {
 
     #[test]
     fn connections_beyond_the_cap_are_refused_with_server_busy() {
-        let config = ServerConfig {
-            max_connections: 4,
-            ..ServerConfig::default()
-        };
-        let server = PolicyServer::bind("127.0.0.1:0", small_policy(), config).unwrap();
+        let server =
+            PolicyServer::bind_capped("127.0.0.1:0", small_policy(), ServerConfig::default(), 4)
+                .unwrap();
         let addr = server.local_addr();
         let mut clients: Vec<PolicyClient> = (0..4)
             .map(|_| {

@@ -225,7 +225,6 @@ fn malformed_numeric_setting_exits_2_without_listening() {
         ("CTJAM_SERVE_MAX_QUEUE_DELAY_US", "1ms"),
         ("CTJAM_SERVE_WORKERS", "two"),
         ("CTJAM_SERVE_MAX_BATCH", "-4"),
-        ("CTJAM_SERVE_MAX_CONNECTIONS", "1k"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_policy_server"))
             .arg(&ckpt)
